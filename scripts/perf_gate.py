@@ -4,9 +4,10 @@
 Compares the current run's perf baseline (written by
 `bench_batch_retrieval --json=...`) against the previous run's artifact
 and fails when the banded DP kernel slows down by more than the allowed
-ratio, or when any cascade order starts running MORE DP evaluations (the
-DP counts are deterministic for a fixed scale and seed, so any increase
-is a real pruning regression, not noise).
+ratio, or when any cascade order starts running MORE DP evaluations or
+pruning FEWER candidates with LB_Keogh (both counts are deterministic
+for a fixed scale and seed, so either move is a real pruning regression,
+not noise).
 
 Since schema v3 the baseline may carry a "service" block (written by
 `bench_service --json=...`); its p95 submit->complete latency is gated
@@ -108,8 +109,7 @@ def main(argv):
         if ratio < min_ratio:
             failures.append(f"{key} regressed: {line.strip()}")
 
-    # 2. DP-evaluation counts per mode and visit order: deterministic at
-    # fixed scale/seed, so strictly more DPs means the cascade got worse.
+    # 2. Cascade work counters per mode and visit order.
     for mode, mdata in sorted(current.get("modes", {}).items()):
         bmode = baseline.get("modes", {}).get(mode)
         if bmode is None:
@@ -121,14 +121,20 @@ def main(argv):
                 print(f"  {mode}/{order}: skipped "
                       "(absent from previous baseline)")
                 continue
-            old, new = border.get("dp_evaluations"), odata.get("dp_evaluations")
-            if old is None or new is None:
-                print(f"  {mode}/{order}: skipped (dp_evaluations missing)")
-                continue
-            print(f"  {mode}/{order}: dp_evaluations {old} -> {new}")
-            if new > old:
-                failures.append(
-                    f"{mode}/{order} dp_evaluations increased: {old} -> {new}")
+            # Both counts are deterministic at fixed scale/seed: more DPs,
+            # or fewer LB_Keogh prunes (the stage weakened or switched off
+            # for this mode), means the cascade got worse.
+            for key, worse, verb in (
+                    ("dp_evaluations", lambda o, n: n > o, "increased"),
+                    ("pruned_by_keogh", lambda o, n: n < o, "decreased")):
+                old, new = border.get(key), odata.get(key)
+                if old is None or new is None:
+                    print(f"  {mode}/{order}: skipped ({key} missing)")
+                    continue
+                print(f"  {mode}/{order}: {key} {old} -> {new}")
+                if worse(old, new):
+                    failures.append(
+                        f"{mode}/{order} {key} {verb}: {old} -> {new}")
 
     # 3. Service p95 latency: wall-clock, so gated with a generous ratio
     # plus absolute slack rather than the exact rules above.

@@ -12,18 +12,7 @@ Envelope MakeEnvelope(const ts::TimeSeries& s, std::size_t r) {
   Envelope env;
   const std::size_t n = s.size();
   if (n == 0) return env;
-  if (r >= n - 1) {
-    // Full-span window: [i-r, i+r] covers the whole series at every i, so
-    // every element of the envelope is the global extremum — one
-    // minmax_element pass and two constant fills instead of running the
-    // deque machinery over 2n push/pop events for a constant answer.
-    // This is the radius the unconstrained-DTW retrieval cascade uses for
-    // every envelope.
-    const auto minmax = std::minmax_element(s.begin(), s.end());
-    env.upper.assign(n, *minmax.second);
-    env.lower.assign(n, *minmax.first);
-    return env;
-  }
+  r = std::min(r, n - 1);  // wider windows are all full-span; no overflow
   env.upper.assign(n, 0.0);
   env.lower.assign(n, 0.0);
   // Monotonic deques over the sliding window [i-r, i+r].
@@ -111,29 +100,30 @@ double LbKeoghAbandoning(const ts::TimeSeries& x, const Envelope& y_envelope,
   return sum;
 }
 
+double LbKeoghGlobal(const ts::TimeSeries& x, const SeriesStats& y,
+                     double abandon_above, bool* abandoned) {
+  if (abandoned != nullptr) *abandoned = false;
+  if (!y.valid) return 0.0;
+  // LbKeoghAbandoning's loop with the constant full-span envelope
+  // upper[i] = y.max, lower[i] = y.min.
+  double sum = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i] > y.max) {
+      sum += x[i] - y.max;
+    } else if (x[i] < y.min) {
+      sum += y.min - x[i];
+    }
+    if (sum > abandon_above) {
+      if (abandoned != nullptr) *abandoned = i + 1 < x.size();
+      return sum;
+    }
+  }
+  return sum;
+}
+
 double LbKeogh(const ts::TimeSeries& x, const ts::TimeSeries& y,
                std::size_t r) {
   return LbKeogh(x, MakeEnvelope(y, r));
-}
-
-std::size_t BandMaxRadius(const Band& band) {
-  const std::size_t n = band.n();
-  const std::size_t m = band.m();
-  if (n == 0 || m == 0) return 0;
-  std::size_t radius = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double core = n > 1
-                            ? static_cast<double>(i) *
-                                  static_cast<double>(m - 1) /
-                                  static_cast<double>(n - 1)
-                            : 0.0;
-    const double dev_lo = core - static_cast<double>(band.row(i).lo);
-    const double dev_hi = static_cast<double>(band.row(i).hi) - core;
-    const double dev = std::max(std::abs(dev_lo), std::abs(dev_hi));
-    radius = std::max(radius,
-                      static_cast<std::size_t>(std::ceil(std::max(dev, 0.0))));
-  }
-  return radius;
 }
 
 }  // namespace dtw

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "dtw/band.h"
 #include "ts/time_series.h"
 
 namespace sdtw {
@@ -27,16 +26,16 @@ struct Envelope {
 
 /// Builds the Keogh envelope of `s` for a symmetric warping radius `r`
 /// (in samples): upper[i] = max(s[i-r..i+r]), lower[i] = min(s[i-r..i+r]).
-/// Uses a monotonic-deque sliding window (O(n)); when the window spans the
-/// whole series (r >= n-1, the full-span envelopes of the
-/// unconstrained-DTW retrieval cascade) the envelope is two constant fills
-/// of the global extrema instead.
+/// Uses a monotonic-deque sliding window (O(n)). A full-span envelope
+/// (r >= n-1) is constant at the global extrema; LbKeoghGlobal evaluates
+/// against it from a SeriesStats without building it.
 Envelope MakeEnvelope(const ts::TimeSeries& s, std::size_t r);
 
 /// \brief O(1)-combinable summary of a series for LB_Kim: the first/last
 /// values and the global extrema. Indexes cache one per series so the
 /// cascade's stage-1 test costs O(1) per candidate instead of rescanning
-/// the candidate series on every query.
+/// the candidate series on every query. The extrema are also the
+/// full-span envelope LbKeoghGlobal bounds against.
 struct SeriesStats {
   double first = 0.0;
   double last = 0.0;
@@ -77,15 +76,25 @@ double LbKeogh(const ts::TimeSeries& x, const Envelope& y_envelope);
 double LbKeoghAbandoning(const ts::TimeSeries& x, const Envelope& y_envelope,
                          double abandon_above, bool* abandoned = nullptr);
 
+/// LbKeoghAbandoning against the full-span envelope of a series y,
+/// computed from its cached summary instead of a materialised envelope:
+/// every element of that envelope is y's global max (upper) or min
+/// (lower). Same terms, same order, same arithmetic, so for a y of x's
+/// length the result and *abandoned are bitwise equal to
+/// LbKeoghAbandoning(x, MakeEnvelope(y, y.size()), abandon_above,
+/// abandoned). The summary carries no length: the caller must check that
+/// x and y have equal lengths (LB_Keogh is undefined across lengths). An
+/// invalid summary (empty y) gives the trivial bound 0.
+///
+/// Every warp path visits every row, so the result lower-bounds the
+/// absolute-cost DTW of x and y under any band, the sDTW bands included.
+double LbKeoghGlobal(const ts::TimeSeries& x, const SeriesStats& y,
+                     double abandon_above, bool* abandoned = nullptr);
+
 /// Convenience: builds the envelope of y with radius r and evaluates
 /// LB_Keogh(x, env(y)).
 double LbKeogh(const ts::TimeSeries& x, const ts::TimeSeries& y,
                std::size_t r);
-
-/// Derives a per-row warping radius from a Band (the maximum deviation of
-/// the band from the diagonal), so LB_Keogh can be used together with
-/// sDTW's adaptive bands while remaining a valid bound.
-std::size_t BandMaxRadius(const Band& band);
 
 }  // namespace dtw
 }  // namespace sdtw

@@ -52,6 +52,17 @@ bool LbKimSound(const KnnOptions& opt, const core::Sdtw& engine) {
          engine.options().dtw.cost == dtw::CostKind::kAbsolute;
 }
 
+// LB_Keogh sums absolute differences to the full-span envelope, which
+// lower-bounds every absolute-cost DTW — unconstrained (kFullDtw) or
+// banded (kSdtw): every warp path visits every row i, so x_i is matched
+// to some value in [min(y), max(y)]. Not squared cost, for LB_Kim's
+// reason.
+bool LbKeoghSound(const KnnOptions& opt, const core::Sdtw& engine) {
+  return (opt.distance == DistanceKind::kFullDtw ||
+          opt.distance == DistanceKind::kSdtw) &&
+         LbKimSound(opt, engine);
+}
+
 // Strict weak order making the top-k selection deterministic under any
 // worker completion order: primary ascending distance, ties by ascending
 // index (what a sequential in-order scan keeps).
@@ -237,14 +248,6 @@ QueryContext BatchKnnEngine::MakeContext(const ts::TimeSeries& query) const {
   if (opt.distance == DistanceKind::kSdtw) {
     context.features = index_.engine_.ExtractFeatures(query);
   }
-  if (opt.use_lb_keogh && opt.distance == DistanceKind::kFullDtw &&
-      index_.lengths_.count(query.size()) > 0) {
-    // Full-span envelope: the only radius sound for unconstrained DTW
-    // (see KnnOptions::use_lb_keogh). Skipped when no indexed series
-    // shares the query's length — LB_Keogh is undefined across lengths,
-    // so the envelope could never be consumed.
-    context.envelope = dtw::MakeEnvelope(query, query.size());
-  }
   return context;
 }
 
@@ -270,36 +273,26 @@ double BatchKnnEngine::CascadeDistance(const ts::TimeSeries& query,
       return kInf;
     }
   }
-  // Cascade stage 2: LB_Keogh in both directions — the query against the
-  // candidate envelope cached at Index() time, and the candidate against
-  // the query envelope computed once per batch. The envelopes span the
-  // whole series (global min/max), the only radius that lower-bounds
-  // *unconstrained* DTW: every warp path visits each row i, aligning x_i
-  // to some value inside [min(y), max(y)], so Σ_i dist(x_i, envelope) is
-  // a valid bound. Radius-limited envelopes would only bound
-  // window-constrained DTW, and sDTW bands may be narrower still — hence
-  // exact-DTW mode only. Each direction accumulates its sum with
-  // cumulative abandoning against the best-so-far (LbKeoghAbandoning):
-  // the prune decision is identical to the full pass, but the O(n) bound
-  // computation itself stops as soon as it is settled.
-  if (opt.use_lb_keogh && opt.distance == DistanceKind::kFullDtw) {
+  // Cascade stage 2: LB_Keogh in both directions, each against the other
+  // series' full-span envelope (its cached global min/max — see
+  // LbKeoghSound). A banded warp path is still a warp path, so the bound
+  // that holds for unconstrained DTW holds for sDTW too, and a pruned
+  // candidate never pays for BuildBand. Each direction accumulates with
+  // cumulative abandoning against the best-so-far: the prune decision is
+  // identical to the full pass, but the O(n) bound computation itself
+  // stops as soon as it is settled.
+  if (opt.use_lb_keogh && LbKeoghSound(opt, engine)) {
     if (target.size() != query.size()) {
-      // LB_Keogh is only defined on equal lengths (LbKeogh would return
-      // the trivial bound 0): skip the stage for this candidate and say
-      // so, instead of counting it as Keogh-checked.
+      // LB_Keogh is only defined on equal lengths: skip the stage for
+      // this candidate and say so, instead of counting it as
+      // Keogh-checked.
       if (stats != nullptr) ++stats->lb_keogh_skipped;
     } else if (std::isfinite(best_so_far)) {
       bool abandoned = false;
-      if (dtw::LbKeoghAbandoning(query, index_.envelopes_[candidate],
-                                 best_so_far, &abandoned) > best_so_far) {
-        if (stats != nullptr) {
-          ++stats->pruned_by_keogh;
-          if (abandoned) ++stats->lb_keogh_abandoned;
-        }
-        return kInf;
-      }
-      if (dtw::LbKeoghAbandoning(target, context.envelope, best_so_far,
-                                 &abandoned) > best_so_far) {
+      if (dtw::LbKeoghGlobal(query, index_.stats_[candidate], best_so_far,
+                             &abandoned) > best_so_far ||
+          dtw::LbKeoghGlobal(target, context.stats, best_so_far,
+                             &abandoned) > best_so_far) {
         if (stats != nullptr) {
           ++stats->pruned_by_keogh;
           if (abandoned) ++stats->lb_keogh_abandoned;

@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "core/sdtw.h"
@@ -73,12 +72,15 @@ struct KnnOptions {
   VisitOrder visit_order = VisitOrder::kLowerBound;
   /// Enable the LB_Kim constant-time prefilter.
   bool use_lb_kim = true;
-  /// Enable the LB_Keogh envelope prefilter (exact-DTW mode, equal-length
-  /// series only). Envelopes span the whole series (global min/max): a
-  /// radius-r envelope only lower-bounds r-window-constrained DTW, and the
-  /// kFullDtw mode ranks by *unconstrained* DTW, for which the full span
-  /// is the only sound radius (an optimal warp may displace arbitrarily
-  /// far, but every x_i still aligns to some value in [min(y), max(y)]).
+  /// Enable the LB_Keogh prefilter, both directions, on equal-length
+  /// series. It runs for kFullDtw and for kSdtw with absolute cost; it
+  /// stays off for squared-cost kSdtw, which its absolute terms do not
+  /// bound. The envelope spans the whole series (global min/max from the
+  /// cached SeriesStats, see dtw::LbKeoghGlobal): every warp path, banded
+  /// or not, visits every row i, aligning x_i to some value in
+  /// [min(y), max(y)], so the bound holds for unconstrained DTW and for
+  /// every sDTW band. A radius-r envelope would only bound
+  /// r-window-constrained DTW.
   bool use_lb_keogh = true;
   /// Enable early-abandoning DP against the best-so-far distance. Applies
   /// to both DTW modes: the kFullDtw rolling kernel, and the kSdtw banded
@@ -146,7 +148,7 @@ int VoteLabel(const std::vector<Hit>& hits);
 /// \brief A kNN engine over an indexed data set.
 ///
 /// Index construction extracts and caches per-series salient features and
-/// LB_Keogh envelopes; queries reuse them (the paper's one-time extraction
+/// lower-bound summaries; queries reuse them (the paper's one-time extraction
 /// cost model). The query-time cascade itself lives in BatchKnnEngine
 /// (batch.h): Query() is a batch-of-one wrapper, so single-query and
 /// batched retrieval share one implementation.
@@ -154,7 +156,7 @@ class KnnEngine {
  public:
   explicit KnnEngine(KnnOptions options = {});
 
-  /// Indexes the data set (copies it; features/envelopes cached).
+  /// Indexes the data set (copies it; features and summaries cached).
   void Index(const ts::Dataset& dataset);
 
   std::size_t size() const { return series_.size(); }
@@ -188,14 +190,10 @@ class KnnEngine {
   core::Sdtw engine_;
   std::vector<ts::TimeSeries> series_;
   std::vector<std::vector<sift::Keypoint>> features_;
-  std::vector<dtw::Envelope> envelopes_;
-  /// Cached per-series min/max/first/last so the LB_Kim cascade stage is
-  /// O(1) per candidate (no rescan of the candidate series per query).
+  /// Cached per-series min/max/first/last: the LB_Kim stage is O(1) per
+  /// candidate (no rescan of the candidate series per query), and the
+  /// min/max is the full-span envelope LB_Keogh runs against.
   std::vector<dtw::SeriesStats> stats_;
-  /// Distinct indexed lengths: a query envelope is only worth building
-  /// when at least one candidate shares the query's length (LB_Keogh is
-  /// undefined across lengths).
-  std::unordered_set<std::size_t> lengths_;
   std::size_t max_length_ = 0;
 };
 

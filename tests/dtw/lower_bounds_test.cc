@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "data/generators.h"
 #include "dtw/dtw.h"
 #include "ts/random.h"
@@ -82,9 +86,9 @@ Envelope BruteForceEnvelope(const ts::TimeSeries& s, std::size_t r) {
 }
 
 TEST(EnvelopeTest, FullSpanDirectFillMatchesSlidingWindow) {
-  // r >= n-1 takes the constant-fill fast path; it must be
-  // indistinguishable from the windowed computation, both element-wise
-  // and through LB_Keogh.
+  // r >= n-1 is the full-span envelope (constant at the global extrema)
+  // that LbKeoghGlobal stands in for; it must match the windowed
+  // oracle, both element-wise and through LB_Keogh.
   const std::size_t n = 60;
   const ts::TimeSeries s = RandomSeries(n, 11);
   const ts::TimeSeries x = RandomSeries(n, 12);
@@ -98,8 +102,12 @@ TEST(EnvelopeTest, FullSpanDirectFillMatchesSlidingWindow) {
     }
     EXPECT_DOUBLE_EQ(LbKeogh(x, fast), LbKeogh(x, reference)) << r;
   }
-  // The widest radius still on the deque path agrees with the oracle too,
-  // pinning the boundary between the two implementations.
+  // No radius is too wide: the window is clamped, never overflowed.
+  const Envelope widest =
+      MakeEnvelope(s, std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(widest.upper, MakeEnvelope(s, n - 1).upper);
+  EXPECT_EQ(widest.lower, MakeEnvelope(s, n - 1).lower);
+  // The widest radius short of full span agrees with the oracle too.
   const Envelope boundary = MakeEnvelope(s, n - 2);
   const Envelope boundary_ref = BruteForceEnvelope(s, n - 2);
   for (std::size_t i = 0; i < n; ++i) {
@@ -267,17 +275,43 @@ TEST(SeriesStatsTest, EmptySeriesIsInvalidAndBoundsZero) {
   EXPECT_DOUBLE_EQ(LbKim(empty, other), 0.0);
 }
 
-TEST(BandMaxRadiusTest, SakoeChibaRadiusRecovered) {
-  const Band b = SakoeChibaBand(100, 100, 0.2);
-  const std::size_t r = BandMaxRadius(b);
-  // Half-width is ceil(0.2*100/2) = 10.
-  EXPECT_GE(r, 10u);
-  EXPECT_LE(r, 12u);
+TEST(LbKeoghGlobalTest, BitwiseEqualToFullSpanEnvelopePass) {
+  // The stats-based pass must reproduce the envelope pass exactly —
+  // value and abandoned flag — so swapping one for the other cannot move
+  // a single cascade decision or counter.
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    const std::size_t n = 1 + seed * 7 % 97;
+    const ts::TimeSeries x = RandomSeries(n, 900 + seed);
+    const ts::TimeSeries y = RandomSeries(n, 1000 + seed);
+    const Envelope env = MakeEnvelope(y, y.size());
+    const SeriesStats stats = MakeSeriesStats(y);
+    const double full = LbKeogh(x, env);
+    ts::Rng rng(1100 + seed);
+    std::vector<double> thresholds = {std::numeric_limits<double>::infinity(),
+                                      full, full * 0.999, 0.0, -1.0};
+    for (int t = 0; t < 8; ++t) thresholds.push_back(rng.Uniform(0.0, full));
+    for (const double threshold : thresholds) {
+      bool want_abandoned = false;
+      bool got_abandoned = true;
+      const double want =
+          LbKeoghAbandoning(x, env, threshold, &want_abandoned);
+      const double got = LbKeoghGlobal(x, stats, threshold, &got_abandoned);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << "seed " << seed << " thr " << threshold;
+      EXPECT_EQ(got_abandoned, want_abandoned)
+          << "seed " << seed << " thr " << threshold;
+    }
+  }
 }
 
-TEST(BandMaxRadiusTest, FullBandRadiusIsGridWidth) {
-  const Band b = Band::Full(10, 30);
-  EXPECT_GE(BandMaxRadius(b), 29u);
+TEST(LbKeoghGlobalTest, EmptySeriesGivesTrivialBound) {
+  const ts::TimeSeries x({1.0, 2.0});
+  bool abandoned = true;
+  EXPECT_EQ(LbKeoghGlobal(x, MakeSeriesStats(ts::TimeSeries{}), -1.0,
+                          &abandoned),
+            0.0);
+  EXPECT_FALSE(abandoned);
+  EXPECT_EQ(LbKeoghGlobal(ts::TimeSeries{}, MakeSeriesStats(x), -1.0), 0.0);
 }
 
 }  // namespace

@@ -20,8 +20,15 @@ struct EngineParam {
   bool lb_kim;
   bool lb_keogh;
   bool early_abandon;
+  // A bool, not a CostKind, so the struct stays 16 bytes: gtest prints
+  // its size into every test name of the sweep.
+  bool squared_cost;
   const char* dataset;
 };
+
+dtw::CostKind CostOf(const EngineParam& p) {
+  return p.squared_cost ? dtw::CostKind::kSquared : dtw::CostKind::kAbsolute;
+}
 
 ts::Dataset MakeSet(const char* name) {
   data::GeneratorOptions opt;
@@ -41,6 +48,7 @@ TEST_P(RetrievalPropertyTest, QueriesReturnSortedFiniteHits) {
   opt.use_lb_kim = p.lb_kim;
   opt.use_lb_keogh = p.lb_keogh;
   opt.use_early_abandon = p.early_abandon;
+  opt.sdtw.dtw.cost = CostOf(p);
   KnnEngine engine(opt);
   const ts::Dataset ds = MakeSet(p.dataset);
   engine.Index(ds);
@@ -65,6 +73,7 @@ TEST_P(RetrievalPropertyTest, TopOneIsGlobalMinimum) {
   opt.use_lb_kim = p.lb_kim;
   opt.use_lb_keogh = p.lb_keogh;
   opt.use_early_abandon = p.early_abandon;
+  opt.sdtw.dtw.cost = CostOf(p);
   KnnEngine engine(opt);
   // Reference engine with all pruning off.
   KnnOptions plain = opt;
@@ -94,6 +103,7 @@ TEST_P(RetrievalPropertyTest, VisitOrdersBitwiseIdenticalAcrossThreads) {
   opt.use_lb_kim = p.lb_kim;
   opt.use_lb_keogh = p.lb_keogh;
   opt.use_early_abandon = p.early_abandon;
+  opt.sdtw.dtw.cost = CostOf(p);
   const ts::Dataset ds = MakeSet(p.dataset);
   opt.visit_order = VisitOrder::kIndexOrder;
   KnnEngine index_engine(opt);
@@ -134,6 +144,7 @@ TEST_P(RetrievalPropertyTest, AlignmentRecoveryEqualsDirectComparePaths) {
   opt.use_lb_kim = p.lb_kim;
   opt.use_lb_keogh = p.lb_keogh;
   opt.use_early_abandon = p.early_abandon;
+  opt.sdtw.dtw.cost = CostOf(p);
   KnnEngine engine(opt);
   const ts::Dataset ds = MakeSet(p.dataset);
   engine.Index(ds);
@@ -169,6 +180,42 @@ TEST_P(RetrievalPropertyTest, AlignmentRecoveryEqualsDirectComparePaths) {
   }
 }
 
+TEST_P(RetrievalPropertyTest, KeoghStageNeverChangesHits) {
+  // LB_Keogh only prunes where it is a sound bound, so switching it off
+  // must leave every hit bitwise unchanged; under squared-cost sDTW (which
+  // its absolute terms do not bound) it must not run at all.
+  const EngineParam p = GetParam();
+  KnnOptions opt;
+  opt.distance = p.distance;
+  opt.use_lb_kim = p.lb_kim;
+  opt.use_lb_keogh = p.lb_keogh;
+  opt.use_early_abandon = p.early_abandon;
+  opt.sdtw.dtw.cost = CostOf(p);
+  KnnOptions no_keogh = opt;
+  no_keogh.use_lb_keogh = false;
+  const ts::Dataset ds = MakeSet(p.dataset);
+  KnnEngine engine(opt);
+  KnnEngine reference(no_keogh);
+  engine.Index(ds);
+  reference.Index(ds);
+  const std::vector<ts::TimeSeries> queries(ds.begin(), ds.begin() + 5);
+  BatchOptions bopt;
+  bopt.num_threads = 2;
+  std::vector<QueryStats> stats;
+  const auto hits = BatchKnnEngine(engine, bopt).QueryBatch(queries, 3, &stats);
+  const auto ref = BatchKnnEngine(reference, bopt).QueryBatch(queries, 3);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_EQ(hits[q].size(), ref[q].size()) << q;
+    for (std::size_t i = 0; i < ref[q].size(); ++i) {
+      EXPECT_EQ(hits[q][i].index, ref[q][i].index) << q << " " << i;
+      EXPECT_EQ(hits[q][i].distance, ref[q][i].distance) << q << " " << i;
+    }
+    if (p.distance == DistanceKind::kSdtw && p.squared_cost) {
+      EXPECT_EQ(stats[q].pruned_by_keogh, 0u) << q;
+    }
+  }
+}
+
 TEST_P(RetrievalPropertyTest, FeatureStoreRoundTripKeepsDistances) {
   const EngineParam p = GetParam();
   if (p.distance != DistanceKind::kSdtw) return;
@@ -194,14 +241,20 @@ TEST_P(RetrievalPropertyTest, FeatureStoreRoundTripKeepsDistances) {
 INSTANTIATE_TEST_SUITE_P(
     ConfigSweep, RetrievalPropertyTest,
     ::testing::Values(
-        EngineParam{DistanceKind::kFullDtw, true, true, true, "gun"},
-        EngineParam{DistanceKind::kFullDtw, true, false, false, "trace"},
-        EngineParam{DistanceKind::kFullDtw, false, true, false, "cbf"},
-        EngineParam{DistanceKind::kFullDtw, false, false, true,
+        EngineParam{DistanceKind::kFullDtw, true, true, true, false, "gun"},
+        EngineParam{DistanceKind::kFullDtw, true, false, false, false,
+                    "trace"},
+        EngineParam{DistanceKind::kFullDtw, false, true, false, false, "cbf"},
+        EngineParam{DistanceKind::kFullDtw, false, false, true, false,
                     "twopatterns"},
-        EngineParam{DistanceKind::kSdtw, true, false, false, "gun"},
-        EngineParam{DistanceKind::kSdtw, false, false, false, "trace"},
-        EngineParam{DistanceKind::kSdtw, true, false, false, "50words"}),
+        EngineParam{DistanceKind::kSdtw, true, false, false, false, "gun"},
+        EngineParam{DistanceKind::kSdtw, false, false, false, false, "trace"},
+        EngineParam{DistanceKind::kSdtw, true, false, false, false,
+                    "50words"},
+        EngineParam{DistanceKind::kSdtw, true, true, true, false, "trace"},
+        EngineParam{DistanceKind::kSdtw, false, true, true, false, "cbf"},
+        EngineParam{DistanceKind::kSdtw, true, true, false, false, "50words"},
+        EngineParam{DistanceKind::kSdtw, true, true, true, true, "gun"}),
     [](const ::testing::TestParamInfo<EngineParam>& info) {
       std::string name =
           info.param.distance == DistanceKind::kFullDtw ? "dtw" : "sdtw";
@@ -209,6 +262,7 @@ INSTANTIATE_TEST_SUITE_P(
       if (info.param.lb_kim) name += "_kim";
       if (info.param.lb_keogh) name += "_keogh";
       if (info.param.early_abandon) name += "_ea";
+      if (info.param.squared_cost) name += "_sq";
       return name;
     });
 

@@ -594,6 +594,76 @@ TEST(BatchKnnEngineTest, MixedLengthIndexSkipsKeoghPerCandidate) {
   }
 }
 
+// BruteForceTopK under the sDTW distance: core::Sdtw::Compare against
+// every candidate, no cascade.
+std::vector<Hit> BruteForceSdtwTopK(const ts::Dataset& ds,
+                                    const ts::TimeSeries& query,
+                                    std::size_t k,
+                                    const core::SdtwOptions& options) {
+  const core::Sdtw engine(options);
+  const auto query_features = engine.ExtractFeatures(query);
+  std::vector<Hit> all;
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    const double d =
+        engine.Compare(query, query_features, ds[i],
+                       engine.ExtractFeatures(ds[i]))
+            .distance;
+    if (std::isfinite(d)) all.push_back(Hit{i, d, ds[i].label()});
+  }
+  std::sort(all.begin(), all.end(), [](const Hit& a, const Hit& b) {
+    return a.distance < b.distance ||
+           (a.distance == b.distance && a.index < b.index);
+  });
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+TEST(BatchKnnEngineTest, SdtwKeoghPrunesAndKeepsBruteForceHits) {
+  // Absolute-cost sDTW runs the Keogh stage: it must prune, skip the
+  // mismatched-length candidates (counted, sent on to the DP), and leave
+  // the hits bitwise equal to a cascade-free scan. Trace-like series, so
+  // the full-span bound separates classes (see the test above).
+  data::GeneratorOptions gopt;
+  gopt.num_series = 20;
+  gopt.length = 100;
+  ts::Dataset ds = data::MakeTraceLike(gopt);
+  gopt.num_series = 6;
+  gopt.length = 60;
+  for (const auto& s : data::MakeTraceLike(gopt)) ds.Add(s);
+  KnnOptions opt;
+  opt.distance = DistanceKind::kSdtw;
+  opt.use_lb_kim = false;  // every candidate reaches the Keogh stage
+  KnnEngine engine(opt);
+  engine.Index(ds);
+  const std::vector<ts::TimeSeries> queries = QueriesFrom(ds, 4);
+  for (const std::size_t threads : {1u, 4u}) {
+    BatchOptions bopt;
+    bopt.num_threads = threads;
+    std::vector<QueryStats> stats;
+    const auto hits =
+        BatchKnnEngine(engine, bopt).QueryBatch(queries, 3, &stats);
+    QueryStats total;
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const std::vector<Hit> expected =
+          BruteForceSdtwTopK(ds, queries[q], 3, opt.sdtw);
+      ASSERT_EQ(hits[q].size(), expected.size()) << threads << " " << q;
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(hits[q][i].index, expected[i].index) << threads << " " << q;
+        EXPECT_EQ(hits[q][i].distance, expected[i].distance)
+            << threads << " " << q;
+      }
+      EXPECT_EQ(stats[q].lb_keogh_skipped, 6u) << threads << " " << q;
+      EXPECT_EQ(stats[q].pruned_by_kim + stats[q].pruned_by_keogh +
+                    stats[q].pruned_by_early_abandon +
+                    stats[q].dp_evaluations,
+                stats[q].candidates)
+          << threads << " " << q;
+      total.Merge(stats[q]);
+    }
+    EXPECT_GT(total.pruned_by_keogh, 0u) << threads;
+  }
+}
+
 TEST(BatchKnnEngineTest, CascadeActuallyPrunesInBatch) {
   const ts::Dataset ds = SmallGun(24);
   KnnOptions opt;
@@ -655,6 +725,7 @@ TEST(BatchKnnEngineTest, SdtwAlignmentsNeverAbandonAndMatchDistances) {
   const ts::Dataset ds = SmallGun(14, 80);
   KnnOptions opt;
   opt.distance = DistanceKind::kSdtw;
+  opt.use_lb_kim = false;  // every candidate reaches the Keogh stage
   KnnEngine engine(opt);
   engine.Index(ds);
   const std::vector<ts::TimeSeries> queries = QueriesFrom(ds, 4);

@@ -1,8 +1,10 @@
 #include "retrieval/knn.h"
 
 #include <cmath>
+#include <limits>
 #include <gtest/gtest.h>
 
+#include "data/extra_families.h"
 #include "data/generators.h"
 #include "dtw/dtw.h"
 
@@ -285,6 +287,49 @@ TEST(KnnEngineTest, KeoghStagePreservesExactnessUnderLargeShifts) {
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].index, 1u);
   EXPECT_EQ(hits[0].distance, dtw::DtwDistance(query, ds[1]));
+}
+
+TEST(KnnEngineTest, KeoghBoundsAbsoluteCostSdtwUnderEveryConstraint) {
+  // The cascade prunes absolute-cost sDTW candidates with the full-span
+  // LB_Keogh in both directions. A band only removes warp paths, so the
+  // bound must hold for every constraint strategy of the paper's roster
+  // (fc,fw / fc,aw / ac,fw / ac,aw / ac2,aw) on every generator family.
+  data::GeneratorOptions gen;
+  gen.num_series = 8;
+  gen.length = 96;
+  const ts::Dataset sets[] = {data::MakeCbf(gen), data::MakeGunLike(gen),
+                              data::MakeTraceLike(gen),
+                              data::MakeWordsLike(gen)};
+  const auto roster = core::PaperAlgorithmRoster(64);
+  std::size_t pairs = 0;
+  for (const core::NamedConfig& config : roster) {
+    if (config.full_dtw) continue;
+    ASSERT_EQ(config.options.dtw.cost, dtw::CostKind::kAbsolute);
+    const core::Sdtw engine(config.options);
+    for (const ts::Dataset& ds : sets) {
+      std::vector<std::vector<sift::Keypoint>> features;
+      std::vector<dtw::SeriesStats> stats;
+      for (const ts::TimeSeries& s : ds) {
+        features.push_back(engine.ExtractFeatures(s));
+        stats.push_back(dtw::MakeSeriesStats(s));
+      }
+      for (std::size_t i = 0; i < ds.size(); ++i) {
+        for (std::size_t j = i + 1; j < ds.size(); ++j) {
+          ASSERT_EQ(ds[i].size(), ds[j].size());
+          const double d =
+              engine.Compare(ds[i], features[i], ds[j], features[j])
+                  .distance;
+          const double inf = std::numeric_limits<double>::infinity();
+          EXPECT_LE(dtw::LbKeoghGlobal(ds[i], stats[j], inf), d + 1e-9)
+              << config.label << " " << i << " " << j;
+          EXPECT_LE(dtw::LbKeoghGlobal(ds[j], stats[i], inf), d + 1e-9)
+              << config.label << " " << i << " " << j;
+          ++pairs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(pairs, 9u * 4u * 28u);
 }
 
 TEST(KnnEngineTest, KLargerThanIndexReturnsAll) {
