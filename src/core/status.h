@@ -37,7 +37,8 @@ namespace core {
 enum class StatusCode {
   kOk = 0,
   /// Caller error: malformed configuration or arguments (e.g. a
-  /// QueryService constructed with queue_capacity == 0).
+  /// QueryService constructed with queue_capacity == 0, or a query that
+  /// is empty or holds a non-finite sample).
   kInvalidArgument,
   /// The request's deadline passed before it was served; it was shed
   /// without any DP evaluation.

@@ -21,15 +21,6 @@ inline std::uint64_t FnvMix(std::uint64_t h, std::uint64_t word) {
   return h;
 }
 
-bool SameValues(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size()) return false;
-  // Bitwise comparison (memcmp semantics), matching ContentHash: NaNs with
-  // equal payloads compare equal here, and -0.0 != +0.0. Content identity,
-  // not numeric equality.
-  return a.empty() ||
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
-}
-
 }  // namespace
 
 std::uint64_t ContentHash(std::span<const double> values) {
@@ -38,16 +29,21 @@ std::uint64_t ContentHash(std::span<const double> values) {
   return h;
 }
 
+bool SameContent(std::span<const double> a, std::span<const double> b) {
+  if (a.size() != b.size()) return false;
+  return a.empty() ||
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 QueryDerivativeCache::QueryDerivativeCache(std::size_t capacity)
     : capacity_(capacity) {}
 
 std::shared_ptr<const QueryContext> QueryDerivativeCache::Lookup(
-    const ts::TimeSeries& query) {
+    std::uint64_t hash, std::span<const double> values) {
   if (capacity_ == 0) return nullptr;
-  const std::uint64_t hash = ContentHash(query.values());
   core::MutexLock lock(mu_);
   auto it = by_hash_.find(hash);
-  if (it == by_hash_.end() || !SameValues(it->second->values, query.values())) {
+  if (it == by_hash_.end() || !SameContent(it->second->values, values)) {
     ++counters_.misses;
     return nullptr;
   }
@@ -56,13 +52,13 @@ std::shared_ptr<const QueryContext> QueryDerivativeCache::Lookup(
   return it->second->context;
 }
 
-void QueryDerivativeCache::Insert(const ts::TimeSeries& query,
+void QueryDerivativeCache::Insert(std::uint64_t hash,
+                                  std::span<const double> values,
                                   std::shared_ptr<const QueryContext> context) {
   if (capacity_ == 0) return;
-  const std::uint64_t hash = ContentHash(query.values());
   Entry entry;
   entry.hash = hash;
-  entry.values.assign(query.values().begin(), query.values().end());
+  entry.values.assign(values.begin(), values.end());
   entry.context = std::move(context);
 
   core::MutexLock lock(mu_);

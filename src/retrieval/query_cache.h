@@ -36,7 +36,6 @@
 #include "core/mutex.h"
 #include "core/thread_annotations.h"
 #include "retrieval/scratch.h"
-#include "ts/time_series.h"
 
 namespace sdtw {
 namespace retrieval {
@@ -46,6 +45,11 @@ namespace retrieval {
 /// (they compare equal, so a lookup across them just misses — a lost
 /// reuse opportunity, never an error).
 std::uint64_t ContentHash(std::span<const double> values);
+
+/// Bitwise content identity, the equality ContentHash keys on (memcmp
+/// semantics: NaNs with equal payloads match, -0.0 != +0.0). Content
+/// identity, not numeric equality.
+bool SameContent(std::span<const double> a, std::span<const double> b);
 
 /// \brief Thread-safe LRU of query-content -> derived QueryContext.
 class QueryDerivativeCache {
@@ -58,15 +62,20 @@ class QueryDerivativeCache {
   std::size_t capacity() const { return capacity_; }
 
   /// The cached context of a query with exactly these sample values, or
-  /// nullptr (counted as hit/miss). A hit refreshes the entry's recency.
-  std::shared_ptr<const QueryContext> Lookup(const ts::TimeSeries& query)
+  /// nullptr (counted as hit/miss). `hash` is the caller's
+  /// ContentHash(values), computed once per query; the stored values are
+  /// still compared, so a wrong or colliding hash degrades to a miss. A
+  /// hit refreshes the entry's recency.
+  std::shared_ptr<const QueryContext> Lookup(std::uint64_t hash,
+                                             std::span<const double> values)
       SDTW_EXCLUDES(mu_);
 
-  /// Caches `context` as the derivation of `query` (the caller guarantees
+  /// Caches `context` as the derivation of the query with these sample
+  /// values (the caller guarantees hash == ContentHash(values) and
   /// context == MakeQueryContext(query)), evicting the least recently
   /// used entry when full. Inserting over an existing entry with the same
-  /// content hash replaces it.
-  void Insert(const ts::TimeSeries& query,
+  /// hash replaces it.
+  void Insert(std::uint64_t hash, std::span<const double> values,
               std::shared_ptr<const QueryContext> context)
       SDTW_EXCLUDES(mu_);
 

@@ -1,9 +1,9 @@
 #include "retrieval/service.h"
 
 #include <algorithm>
-#include <cstring>
+#include <cmath>
 #include <memory>
-#include <unordered_map>
+#include <string>
 #include <utility>
 
 #include "retrieval/query_cache.h"
@@ -22,12 +22,23 @@ BatchOptions WithExecutor(BatchOptions options, BatchExecutor* executor) {
   return options;
 }
 
-/// Bitwise content identity, matching query_cache.h's ContentHash /
-/// lookup semantics (memcmp: NaN payloads equal-by-bits match, -0 != +0).
-bool BitwiseEqual(std::span<const double> a, std::span<const double> b) {
-  if (a.size() != b.size()) return false;
-  return a.empty() ||
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+/// OK, or why `query` cannot be ranked: an empty query has no distance
+/// to anything, and a NaN or ±Inf sample makes every distance non-finite,
+/// which the engine would report as zero hits.
+core::Status ValidateQuery(const ts::TimeSeries& query) {
+  if (query.empty()) {
+    return core::Status(core::StatusCode::kInvalidArgument,
+                        "query is empty");
+  }
+  const std::vector<double>& values = query.values();
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (!std::isfinite(values[i])) {
+      return core::Status(core::StatusCode::kInvalidArgument,
+                          "query sample " + std::to_string(i) +
+                              " is NaN or infinite");
+    }
+  }
+  return core::Status::Ok();
 }
 
 }  // namespace
@@ -152,6 +163,18 @@ core::Status QueryService::ValidateOptions(const ServiceOptions& options) {
 
 std::optional<std::future<QueryService::Result>> QueryService::Submit(
     ts::TimeSeries query, std::size_t k, RequestOptions request) {
+  // Argument errors come first and touch no queue state: the future is
+  // ready, and the query is never queued, hashed or scanned.
+  if (core::Status invalid = ValidateQuery(query); !invalid.ok()) {
+    {
+      core::MutexLock lock(mu_);
+      ++invalid_;
+      ++completed_;
+    }
+    std::promise<Result> refused;
+    refused.set_value(std::move(invalid));
+    return refused.get_future();
+  }
   // Fault site: a drawn failure refuses this admission outright —
   // exercised before any queue state is touched, like a resource check
   // that fails ahead of enqueueing.
@@ -162,6 +185,7 @@ std::optional<std::future<QueryService::Result>> QueryService::Submit(
   }
 
   Request req;
+  req.hash = ContentHash(query.values());  // once, outside mu_
   req.query = std::move(query);
   req.k = k;
   req.submit_time = Clock::now();
@@ -257,6 +281,7 @@ ServiceMetrics QueryService::metrics() const {
     m.failed = failed_;
     m.batches = batches_;
     m.coalesced = coalesced_;
+    m.invalid = invalid_;
     m.shed = shed_;
     m.deadline_exceeded = deadline_exceeded_;
     m.worker_faults = worker_faults_;
@@ -271,7 +296,7 @@ ServiceMetrics QueryService::metrics() const {
 
 void QueryService::DispatcherMain() {
   for (;;) {
-    std::vector<Request> batch = NextBatch();
+    Batch batch = NextBatch();
     if (batch.empty()) return;  // closed and fully drained
     ExecuteBatch(std::move(batch));
   }
@@ -295,10 +320,10 @@ void QueryService::WatchdogMain() {
   }
 }
 
-std::vector<QueryService::Request> QueryService::NextBatch() {
+QueryService::Batch QueryService::NextBatch() {
   for (;;) {
     std::vector<Request> shed;
-    std::vector<Request> batch;
+    Batch batch;
     bool drained = false;
     {
       core::UniqueLock lock(mu_);
@@ -322,11 +347,12 @@ std::vector<QueryService::Request> QueryService::NextBatch() {
         };
         shed_head();
         if (!queue_.empty() && !closed_) {
-          // The batch ships when it fills, when the oldest queued request
-          // has waited max_delay, or when the most urgent queued deadline
-          // is within max_delay of now — an imminent deadline must not
-          // sit out the full age trigger. After close we skip straight to
-          // the cut; draining must not dawdle.
+          // The batch ships when max_batch requests are queued, when the
+          // oldest queued request has waited max_delay, or when the most
+          // urgent queued deadline is within max_delay of now — an
+          // imminent deadline must not sit out the full age trigger.
+          // After close we skip straight to the cut; draining must not
+          // dawdle.
           const auto cut_deadline = [&]() SDTW_REQUIRES(mu_) {
             const std::size_t probe =
                 std::min(queue_.size(), options_.max_batch);
@@ -348,12 +374,14 @@ std::vector<QueryService::Request> QueryService::NextBatch() {
           }
           shed_head();  // deadlines that lapsed while we coalesced
         }
-        const std::size_t take =
-            std::min(queue_.size(), options_.max_batch);
-        for (std::size_t i = 0; i < take; ++i) {
-          batch.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-        }
+        // The coalescing cut: up to max_batch distinct contents in EDF
+        // order, each with every queued duplicate wherever it sits. What
+        // is not taken keeps its EDF order.
+        batch = CutCoalescedBatch(queue_, options_.max_batch,
+                                  [](const Request& r) {
+                                    return CoalesceKey{r.hash,
+                                                       r.query.values()};
+                                  });
         if (!batch.empty()) ++batches_;
         shed_ += shed.size();
         deadline_exceeded_ += shed.size();
@@ -412,62 +440,45 @@ core::StatusOr<QueryService::Hits> QueryService::RunGroupIsolated(
           last.ToString());
 }
 
-void QueryService::ExecuteBatch(std::vector<Request> batch) {
+void QueryService::ExecuteBatch(Batch batch) {
   {
     core::MutexLock lock(mu_);
     executing_batch_ = batches_;  // NextBatch bumped it; unique, nonzero
     executing_since_ = Clock::now();
   }
 
-  // Coalesce bitwise-identical queries: one scan per distinct content at
-  // the largest k requested in the batch, truncated per request below.
-  // Hash buckets hold group ids; equality is verified by value so a
-  // collision splits into separate groups, never merges distinct queries.
-  struct Group {
-    std::size_t rep;                   // first occurrence, index into batch
-    std::vector<std::size_t> members;  // all occurrences, in arrival order
-  };
-  std::vector<Group> groups;
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_hash;
+  // The cut grouped the requests already: one scan per group at the
+  // largest k requested in the batch, truncated per request below.
   std::size_t kmax = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    kmax = std::max(kmax, batch[i].k);
-    const std::uint64_t hash = ContentHash(batch[i].query.values());
-    std::vector<std::size_t>& bucket = by_hash[hash];
-    std::size_t gid = groups.size();
-    for (std::size_t candidate : bucket) {
-      if (BitwiseEqual(batch[groups[candidate].rep].query.values(),
-                       batch[i].query.values())) {
-        gid = candidate;
-        break;
-      }
-    }
-    if (gid == groups.size()) {
-      bucket.push_back(gid);
-      groups.push_back(Group{i, {}});
-    }
-    groups[gid].members.push_back(i);
+  std::size_t n_requests = 0;
+  for (const std::vector<Request>& group : batch) {
+    n_requests += group.size();
+    for (const Request& req : group) kmax = std::max(kmax, req.k);
   }
 
   // One Result per group; every member shares its group's fate.
   std::vector<core::StatusOr<Hits>> group_results;
-  group_results.reserve(groups.size());
+  group_results.reserve(batch.size());
   if (kmax > 0) {
-    // One representative query per group; cached derivative contexts are
-    // replayed (and misses derived + inserted) so repeated queries skip
-    // phase-1 work across batches too, not just within one.
+    // One representative query per group (moved out of its first member,
+    // which needs only its k from here on); cached derivative contexts
+    // are replayed (and misses derived + inserted) so repeated queries
+    // skip phase-1 work across batches too, not just within one.
     std::vector<ts::TimeSeries> reps;
-    reps.reserve(groups.size());
-    for (const Group& g : groups) reps.push_back(batch[g.rep].query);
-    std::vector<std::shared_ptr<const QueryContext>> keep_alive(groups.size());
-    std::vector<const QueryContext*> contexts(groups.size());
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      keep_alive[g] = cache_.Lookup(reps[g]);
+    reps.reserve(batch.size());
+    for (std::vector<Request>& group : batch) {
+      reps.push_back(std::move(group.front().query));
+    }
+    std::vector<std::shared_ptr<const QueryContext>> keep_alive(batch.size());
+    std::vector<const QueryContext*> contexts(batch.size());
+    for (std::size_t g = 0; g < batch.size(); ++g) {
+      const std::uint64_t hash = batch[g].front().hash;
+      keep_alive[g] = cache_.Lookup(hash, reps[g].values());
       if (keep_alive[g] == nullptr &&
           !core::FaultInjector::Global().ShouldFail(kFaultSiteCacheFill)) {
         auto fresh = std::make_shared<const QueryContext>(
             engine_.MakeQueryContext(reps[g]));
-        cache_.Insert(reps[g], fresh);
+        cache_.Insert(hash, reps[g].values(), fresh);
         keep_alive[g] = std::move(fresh);
       }
       // A faulted fill degrades, never corrupts: nothing was inserted
@@ -490,15 +501,13 @@ void QueryService::ExecuteBatch(std::vector<Request> batch) {
         core::MutexLock lock(mu_);
         ++worker_faults_;
       }
-      for (std::size_t g = 0; g < groups.size(); ++g) {
+      for (std::size_t g = 0; g < batch.size(); ++g) {
         group_results.push_back(
             RunGroupIsolated(reps[g], contexts[g], kmax));
       }
     }
   } else {
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      group_results.push_back(Hits{});
-    }
+    group_results.resize(batch.size(), Hits{});
   }
 
   // Book-keeping first, fulfilment second: a caller whose future has
@@ -508,21 +517,21 @@ void QueryService::ExecuteBatch(std::vector<Request> batch) {
   // (retry backoff above all) says nothing about serving latency.
   const auto done = Clock::now();
   std::size_t n_ok = 0;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
+  for (std::size_t g = 0; g < batch.size(); ++g) {
     if (!group_results[g].ok()) continue;
-    for (std::size_t member : groups[g].members) {
-      latency_.Record(std::chrono::duration<double, std::micro>(
-                          done - batch[member].submit_time)
-                          .count());
+    for (const Request& req : batch[g]) {
+      latency_.Record(
+          std::chrono::duration<double, std::micro>(done - req.submit_time)
+              .count());
       ++n_ok;
     }
   }
   {
     core::MutexLock lock(mu_);
-    completed_ += batch.size();
+    completed_ += n_requests;
     ok_ += n_ok;
-    failed_ += batch.size() - n_ok;
-    coalesced_ += batch.size() - groups.size();
+    failed_ += n_requests - n_ok;
+    coalesced_ += n_requests - batch.size();
     executing_batch_ = 0;  // watchdog: nothing in flight
   }
 
@@ -530,9 +539,8 @@ void QueryService::ExecuteBatch(std::vector<Request> batch) {
   // list — bitwise what a dedicated scan at that k would return, because
   // the k smallest (distance, index) pairs are a prefix of the kmax
   // smallest — or with its group's failure status.
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (std::size_t member : groups[g].members) {
-      Request& req = batch[member];
+  for (std::size_t g = 0; g < batch.size(); ++g) {
+    for (Request& req : batch[g]) {
       if (!group_results[g].ok()) {
         req.promise.set_value(group_results[g].status());
         continue;

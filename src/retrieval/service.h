@@ -27,13 +27,21 @@
 ///    Batch cutting respects the earliest queued deadline: a deadline
 ///    closer than max_delay cuts the batch immediately instead of
 ///    waiting out the age trigger.
-///  * **Micro-batching.** A dispatcher thread coalesces queued requests
-///    into batches cut by whichever fires first: the batch reaches
-///    `max_batch` requests, the oldest queued request has waited
-///    `max_delay`, or a queued deadline is imminent. Duplicate queries
-///    inside one batch (bitwise-equal sample values) are coalesced into a
-///    single scan at the largest requested k and the result is truncated
-///    per request.
+///  * **Micro-batching.** A dispatcher thread cuts a batch from the queue
+///    when the first of these fires: `max_batch` requests are queued,
+///    the oldest queued request has waited `max_delay`, or a queued
+///    deadline is imminent. The cut coalesces across the whole queue
+///    (CutCoalescedBatch): it takes up to `max_batch` distinct query
+///    contents in EDF order, plus every queued request bitwise equal to
+///    one of them, wherever it sits. Each distinct content is one scan at
+///    the largest requested k, truncated per request; everything else
+///    stays queued in EDF order, so a duplicate pulled forward is only
+///    ever served earlier.
+///  * **Input validation.** A query that is empty or holds a NaN or ±Inf
+///    sample cannot be ranked: Submit returns a ready future with
+///    StatusCode::kInvalidArgument, and the query is never queued, hashed
+///    or scanned (counted in ServiceMetrics::invalid). k == 0 is valid
+///    and completes OK with no hits.
 ///  * **Fault isolation.** Results are core::StatusOr<Hits>: a worker
 ///    exception fails only the affected requests, never the process. A
 ///    poisoned batch is isolated by re-running its requests individually,
@@ -53,9 +61,11 @@
 ///    live across batches, so steady-state scans allocate nothing.
 ///  * **Derivative caching.** Per-query derivatives (SeriesStats, SIFT
 ///    features) are looked up in a content-hash-keyed LRU
-///    (query_cache.h) and only derived on miss. A faulted fill degrades
-///    gracefully: nothing is inserted (the cache can never serve a
-///    context from a faulted fill) and the engine derives internally.
+///    (query_cache.h) and only derived on miss. Submit hashes each
+///    query once; the cut and the cache both reuse that hash. A faulted
+///    fill degrades gracefully: nothing is inserted (the cache can never
+///    serve a context from a faulted fill) and the engine derives
+///    internally.
 ///  * **Observability.** metrics() reports p50/p95/p99 submit→complete
 ///    latency over successful requests, throughput counters, coalescing
 ///    and cache hit rates, and the failure-path counters
@@ -74,15 +84,20 @@
 /// core::CondVar predicate loops. Submit is safe from any number of
 /// threads concurrently with Shutdown.
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <future>
 #include <optional>
 #include <random>
+#include <span>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/fault_injector.h"
@@ -118,6 +133,69 @@ inline constexpr std::string_view kFaultSiteCacheFill =
     "retrieval.cache_fill";
 inline constexpr std::string_view kFaultSiteAdmission =
     "retrieval.admission";
+
+/// \brief A queued query's coalescing key: its ContentHash and its
+/// sample values (borrowed).
+struct CoalesceKey {
+  std::uint64_t hash = 0;
+  std::span<const double> values;
+};
+
+/// \brief The service's batch cut, over any queue in EDF order.
+///
+/// Walks `queue` once. Takes the first `max_batch` distinct contents in
+/// queue order and, with each, every element whose content is bitwise
+/// equal to it (SameContent), wherever that element sits. Returns one
+/// group per distinct content, ordered by first occurrence, members in
+/// queue order; every other element stays in `queue`, in its order.
+/// `key_of(element)` yields the element's CoalesceKey. Equal hashes merge
+/// only when the values match too, so a collision never merges distinct
+/// contents.
+template <typename T, typename KeyOf>
+std::vector<std::vector<T>> CutCoalescedBatch(std::deque<T>& queue,
+                                              std::size_t max_batch,
+                                              KeyOf key_of) {
+  // Positions per group; hash -> ids of the groups holding that hash.
+  std::vector<std::vector<std::size_t>> positions;
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_hash;
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    const CoalesceKey key = key_of(queue[i]);
+    const bool open = positions.size() < max_batch;
+    const auto it = open ? by_hash.try_emplace(key.hash).first
+                         : by_hash.find(key.hash);
+    if (it == by_hash.end()) continue;  // full, and no group has this hash
+    std::vector<std::size_t>& bucket = it->second;
+    const auto match =
+        std::find_if(bucket.begin(), bucket.end(), [&](std::size_t g) {
+          return SameContent(key_of(queue[positions[g].front()]).values,
+                             key.values);
+        });
+    if (match != bucket.end()) {
+      positions[*match].push_back(i);
+    } else if (open) {
+      bucket.push_back(positions.size());
+      positions.push_back({i});
+    }
+  }
+
+  std::vector<std::vector<T>> groups(positions.size());
+  std::vector<char> taken(queue.size(), 0);
+  for (std::size_t g = 0; g < positions.size(); ++g) {
+    groups[g].reserve(positions[g].size());
+    for (std::size_t i : positions[g]) {
+      groups[g].push_back(std::move(queue[i]));
+      taken[i] = 1;
+    }
+  }
+  std::size_t kept = 0;  // stable compaction of what stays queued
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    if (taken[i] != 0) continue;
+    if (kept != i) queue[kept] = std::move(queue[i]);
+    ++kept;
+  }
+  queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(kept), queue.end());
+  return groups;
+}
 
 /// \brief Persistent worker threads implementing BatchExecutor.
 ///
@@ -209,7 +287,9 @@ struct RequestOptions {
 
 /// \brief QueryService configuration.
 struct ServiceOptions {
-  /// Batch cut when this many requests are queued...
+  /// Batch cut when this many requests are queued... A cut takes at most
+  /// this many distinct query contents (= scans), plus every queued
+  /// duplicate of them, so a batch may hold more requests than this.
   std::size_t max_batch = 32;
   /// ...or when the oldest queued request has waited this long, whichever
   /// comes first. 0 cuts as soon as the dispatcher wakes (no coalescing
@@ -252,14 +332,17 @@ struct ServiceMetrics {
   std::size_t rejected = 0;   ///< Refused (capacity/kReject, park timeout,
                               ///< injected admission fault, or closed).
   /// Futures resolved, successfully or not:
-  /// completed == ok + deadline_exceeded + failed.
+  /// completed == ok + deadline_exceeded + failed + invalid.
   std::size_t completed = 0;
   std::size_t ok = 0;          ///< Resolved with hits.
   std::size_t failed = 0;      ///< Resolved with kWorkerFault/kUnknown.
   std::size_t batches = 0;     ///< Micro-batches executed.
-  /// Requests answered by another identical request's scan in the same
-  /// batch (in-batch coalescing).
+  /// Requests answered by another identical request's scan: the cut pulls
+  /// every queued duplicate of a scanned content into its batch.
   std::size_t coalesced = 0;
+  /// Submits refused with kInvalidArgument (empty query, or a NaN/±Inf
+  /// sample): resolved at once, never queued, not counted in submitted.
+  std::size_t invalid = 0;
   /// Requests shed from the queue head because their deadline had passed
   /// (no DP evaluation ran); each resolved with kDeadlineExceeded.
   std::size_t shed = 0;
@@ -315,9 +398,11 @@ class QueryService {
 
   /// Submits one query for its k nearest neighbours with per-request
   /// deadline/priority options. Returns the future delivering the
-  /// Result, or nullopt when the request was not admitted (queue at
-  /// capacity under kReject, park timeout under kBlock, injected
-  /// admission fault, invalid service options, or service shut down).
+  /// Result — already resolved with kInvalidArgument for an empty query
+  /// or one with a non-finite sample — or nullopt when the request was
+  /// not admitted (queue at capacity under kReject, park timeout under
+  /// kBlock, injected admission fault, invalid service options, or
+  /// service shut down).
   /// Safe from any number of threads.
   std::optional<std::future<Result>> Submit(ts::TimeSeries query,
                                             std::size_t k,
@@ -340,6 +425,7 @@ class QueryService {
  private:
   struct Request {
     ts::TimeSeries query;
+    std::uint64_t hash = 0;  ///< ContentHash(query), computed by Submit.
     std::size_t k = 0;
     std::chrono::steady_clock::time_point submit_time;
     std::chrono::steady_clock::time_point deadline;
@@ -350,15 +436,20 @@ class QueryService {
     std::promise<Result> promise;
   };
 
+  /// One cut: groups of requests with bitwise-equal queries, one scan
+  /// each, in EDF order of their first member; members in EDF order.
+  using Batch = std::vector<std::vector<Request>>;
+
   void DispatcherMain();
   void WatchdogMain() SDTW_EXCLUDES(mu_);
   /// Blocks until a batch is due (size, age or deadline trigger), sheds
-  /// expired requests from the queue head, and pops the batch; empty
-  /// return = closed and fully drained (dispatcher exits).
-  std::vector<Request> NextBatch() SDTW_EXCLUDES(mu_);
-  /// Coalesce → cache → scan (isolating faults) → truncate → fulfil.
-  /// Runs without mu_ except for counter updates.
-  void ExecuteBatch(std::vector<Request> batch);
+  /// expired requests from the queue head, and cuts the batch
+  /// (CutCoalescedBatch); empty return = closed and fully drained
+  /// (dispatcher exits).
+  Batch NextBatch() SDTW_EXCLUDES(mu_);
+  /// Cache → scan (isolating faults) → truncate → fulfil, one scan per
+  /// group. Runs without mu_ except for counter updates.
+  void ExecuteBatch(Batch batch);
   /// One group's scan after its batch was poisoned: 1 + max_retries
   /// individual attempts under decorrelated-jitter backoff.
   core::StatusOr<Hits> RunGroupIsolated(const ts::TimeSeries& rep,
@@ -399,6 +490,7 @@ class QueryService {
   std::size_t failed_ SDTW_GUARDED_BY(mu_) = 0;
   std::size_t batches_ SDTW_GUARDED_BY(mu_) = 0;
   std::size_t coalesced_ SDTW_GUARDED_BY(mu_) = 0;
+  std::size_t invalid_ SDTW_GUARDED_BY(mu_) = 0;
   std::size_t shed_ SDTW_GUARDED_BY(mu_) = 0;
   std::size_t deadline_exceeded_ SDTW_GUARDED_BY(mu_) = 0;
   std::size_t worker_faults_ SDTW_GUARDED_BY(mu_) = 0;

@@ -59,6 +59,13 @@ std::vector<Hit> DirectHits(const KnnEngine& engine, const ts::TimeSeries& q,
   return direct.QueryBatch(one, k)[0];
 }
 
+/// Blocks until the dispatcher has cut its first batch.
+void WaitForFirstCut(const QueryService& service) {
+  while (service.metrics().batches == 0) {
+    std::this_thread::sleep_for(microseconds(200));
+  }
+}
+
 /// Pins all four service injection sites to rate 0 for the test's
 /// lifetime, neutralizing any environment-armed fault matrix; individual
 /// tests layer their own ScopedFaults on top (restored to this baseline
@@ -331,6 +338,9 @@ TEST_F(QueryServiceDeadlineTest, EdfServesUrgentBeforeEarlier) {
 
   auto decoy = service.Submit(ds[0], 3);  // occupies the dispatcher
   ASSERT_TRUE(decoy.has_value());
+  // Queue the probes only once the decoy was cut: a dated probe queued
+  // beside it would sort ahead of the dateless decoy and ship first.
+  WaitForFirstCut(service);
   const auto base = Clock::now();
   auto relaxed = service.Submit(ds[1], 3);  // FIFO seq 1, no deadline
   auto dated = service.Submit(ds[2], 3,
@@ -380,6 +390,7 @@ TEST_F(QueryServiceDeadlineTest, PriorityBreaksDeadlineTies) {
 
   auto decoy = service.Submit(ds[0], 3);
   ASSERT_TRUE(decoy.has_value());
+  WaitForFirstCut(service);
   const auto deadline = Clock::now() + std::chrono::hours(1);
   auto low = service.Submit(ds[1], 3, RequestOptions{deadline, /*priority=*/1});
   auto high = service.Submit(ds[2], 3, RequestOptions{deadline, /*priority=*/5});

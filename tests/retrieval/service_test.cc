@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <deque>
 #include <future>
+#include <limits>
 #include <gtest/gtest.h>
 #include <memory>
 #include <optional>
@@ -128,6 +131,18 @@ std::shared_ptr<const QueryContext> DummyContext() {
   return std::make_shared<const QueryContext>();
 }
 
+// The cache takes the caller's hash; these tests hash as the service does.
+std::shared_ptr<const QueryContext> Lookup(QueryDerivativeCache& cache,
+                                           const ts::TimeSeries& query) {
+  return cache.Lookup(ContentHash(query.values()), query.values());
+}
+
+void Insert(QueryDerivativeCache& cache, const ts::TimeSeries& query,
+            std::shared_ptr<const QueryContext> context) {
+  cache.Insert(ContentHash(query.values()), query.values(),
+               std::move(context));
+}
+
 TEST(QueryDerivativeCacheTest, HitMissEvictLru) {
   const ts::TimeSeries a({1.0, 2.0, 3.0}, 0);
   const ts::TimeSeries b({4.0, 5.0, 6.0}, 0);
@@ -135,17 +150,17 @@ TEST(QueryDerivativeCacheTest, HitMissEvictLru) {
 
   QueryDerivativeCache cache(2);
   ASSERT_TRUE(cache.enabled());
-  EXPECT_EQ(cache.Lookup(a), nullptr);
+  EXPECT_EQ(Lookup(cache, a), nullptr);
 
   const auto ctx_a = DummyContext();
-  cache.Insert(a, ctx_a);
-  EXPECT_EQ(cache.Lookup(a).get(), ctx_a.get());
+  Insert(cache, a, ctx_a);
+  EXPECT_EQ(Lookup(cache, a).get(), ctx_a.get());
 
-  cache.Insert(b, DummyContext());
-  cache.Insert(c, DummyContext());  // capacity 2: evicts LRU, which is a
-  EXPECT_EQ(cache.Lookup(a), nullptr);
-  EXPECT_NE(cache.Lookup(b), nullptr);
-  EXPECT_NE(cache.Lookup(c), nullptr);
+  Insert(cache, b, DummyContext());
+  Insert(cache, c, DummyContext());  // capacity 2: evicts LRU, which is a
+  EXPECT_EQ(Lookup(cache, a), nullptr);
+  EXPECT_NE(Lookup(cache, b), nullptr);
+  EXPECT_NE(Lookup(cache, c), nullptr);
   EXPECT_EQ(cache.size(), 2u);
 
   const auto counters = cache.counters();
@@ -160,20 +175,20 @@ TEST(QueryDerivativeCacheTest, RecencyRefreshOnHit) {
   const ts::TimeSeries b({2.0}, 0);
   const ts::TimeSeries c({3.0}, 0);
   QueryDerivativeCache cache(2);
-  cache.Insert(a, DummyContext());
-  cache.Insert(b, DummyContext());
-  ASSERT_NE(cache.Lookup(a), nullptr);  // a becomes most recent
-  cache.Insert(c, DummyContext());      // evicts b, not a
-  EXPECT_NE(cache.Lookup(a), nullptr);
-  EXPECT_EQ(cache.Lookup(b), nullptr);
+  Insert(cache, a, DummyContext());
+  Insert(cache, b, DummyContext());
+  ASSERT_NE(Lookup(cache, a), nullptr);  // a becomes most recent
+  Insert(cache, c, DummyContext());      // evicts b, not a
+  EXPECT_NE(Lookup(cache, a), nullptr);
+  EXPECT_EQ(Lookup(cache, b), nullptr);
 }
 
 TEST(QueryDerivativeCacheTest, ZeroCapacityDisables) {
   QueryDerivativeCache cache(0);
   EXPECT_FALSE(cache.enabled());
   const ts::TimeSeries a({1.0, 2.0}, 0);
-  cache.Insert(a, DummyContext());
-  EXPECT_EQ(cache.Lookup(a), nullptr);
+  Insert(cache, a, DummyContext());
+  EXPECT_EQ(Lookup(cache, a), nullptr);
   const auto counters = cache.counters();
   EXPECT_EQ(counters.hits, 0u);
   EXPECT_EQ(counters.misses, 0u);
@@ -185,9 +200,21 @@ TEST(QueryDerivativeCacheTest, LabelDoesNotAffectIdentity) {
   // different label must hit (derivatives do not depend on the label).
   QueryDerivativeCache cache(4);
   const auto ctx = DummyContext();
-  cache.Insert(ts::TimeSeries({1.0, 2.0}, /*label=*/0), ctx);
-  EXPECT_EQ(cache.Lookup(ts::TimeSeries({1.0, 2.0}, /*label=*/7)).get(),
+  Insert(cache, ts::TimeSeries({1.0, 2.0}, /*label=*/0), ctx);
+  EXPECT_EQ(Lookup(cache, ts::TimeSeries({1.0, 2.0}, /*label=*/7)).get(),
             ctx.get());
+}
+
+TEST(QueryDerivativeCacheTest, CollidingHashMissesOnValueCheck) {
+  // The caller supplies the hash; a lookup under the right hash with other
+  // values (a collision) must miss rather than serve the wrong context.
+  QueryDerivativeCache cache(4);
+  const std::vector<double> stored{1.0, 2.0};
+  const std::vector<double> other{3.0, 4.0};
+  cache.Insert(/*hash=*/7, stored, DummyContext());
+  EXPECT_NE(cache.Lookup(7, stored), nullptr);
+  EXPECT_EQ(cache.Lookup(7, other), nullptr);
+  EXPECT_EQ(cache.counters().misses, 1u);
 }
 
 TEST(ContentHashTest, SensitiveToValuesAndLength) {
@@ -240,6 +267,108 @@ TEST(LatencyRecorderTest, WindowBoundsPercentilesButNotTotals) {
   // Negative samples clamp instead of corrupting the aggregates.
   recorder.Record(-5.0);
   EXPECT_EQ(recorder.Snapshot().max_us, 8.0);
+}
+
+// --------------------------------------------------------------------------
+// CutCoalescedBatch: the batch cut, without threads
+
+// A queued element: its coalescing key plus an id naming its queue slot.
+struct Item {
+  std::uint64_t hash;
+  std::vector<double> values;
+  int id;
+};
+
+CoalesceKey KeyOf(const Item& item) {
+  return CoalesceKey{item.hash, item.values};
+}
+
+// A queue whose element i holds content contents[i], hashed honestly.
+std::deque<Item> QueueOf(const std::vector<double>& contents) {
+  std::deque<Item> queue;
+  for (std::size_t i = 0; i < contents.size(); ++i) {
+    const std::vector<double> values{contents[i]};
+    queue.push_back(Item{ContentHash(values), values, static_cast<int>(i)});
+  }
+  return queue;
+}
+
+std::vector<std::vector<int>> Ids(const std::vector<std::vector<Item>>& cut) {
+  std::vector<std::vector<int>> ids;
+  for (const auto& group : cut) {
+    ids.emplace_back();
+    for (const Item& item : group) ids.back().push_back(item.id);
+  }
+  return ids;
+}
+
+std::vector<int> Ids(const std::deque<Item>& queue) {
+  std::vector<int> ids;
+  for (const Item& item : queue) ids.push_back(item.id);
+  return ids;
+}
+
+TEST(QueryServiceCutTest, PullsDuplicatesBeyondMaxBatch) {
+  // Contents A B C A D B A: max_batch 2 takes A and B, and with them every
+  // later A and B, however far back in the queue they sit.
+  std::deque<Item> queue = QueueOf({1, 2, 3, 1, 4, 2, 1});
+  const auto cut = CutCoalescedBatch(queue, 2, KeyOf);
+  EXPECT_EQ(Ids(cut), (std::vector<std::vector<int>>{{0, 3, 6}, {1, 5}}));
+  EXPECT_EQ(Ids(queue), (std::vector<int>{2, 4}));
+}
+
+TEST(QueryServiceCutTest, MaxBatchCountsDistinctContents) {
+  // 40 requests over 3 contents: one cut of max_batch 3 takes all of them.
+  std::vector<double> contents;
+  for (int i = 0; i < 40; ++i) contents.push_back(i % 3);
+  std::deque<Item> queue = QueueOf(contents);
+  auto cut = CutCoalescedBatch(queue, 3, KeyOf);
+  ASSERT_EQ(cut.size(), 3u);
+  EXPECT_EQ(cut[0].size() + cut[1].size() + cut[2].size(), 40u);
+  EXPECT_TRUE(queue.empty());
+
+  // 40 distinct contents: max_batch 32 takes exactly the first 32.
+  contents.clear();
+  for (int i = 0; i < 40; ++i) contents.push_back(i);
+  queue = QueueOf(contents);
+  cut = CutCoalescedBatch(queue, 32, KeyOf);
+  ASSERT_EQ(cut.size(), 32u);
+  for (std::size_t g = 0; g < cut.size(); ++g) {
+    ASSERT_EQ(cut[g].size(), 1u);
+    EXPECT_EQ(cut[g][0].id, static_cast<int>(g));
+  }
+  EXPECT_EQ(Ids(queue), (std::vector<int>{32, 33, 34, 35, 36, 37, 38, 39}));
+
+  // An empty queue cuts nothing.
+  queue.clear();
+  EXPECT_TRUE(CutCoalescedBatch(queue, 32, KeyOf).empty());
+}
+
+TEST(QueryServiceCutTest, RestKeepsEdfOrder) {
+  // Every element the cut leaves behind keeps its relative order, and a
+  // second cut resumes from the new head: the queue order is what the
+  // EDF insert made it, minus the taken elements.
+  std::deque<Item> queue = QueueOf({5, 6, 7, 5, 8, 9, 6, 10, 7, 11});
+  const auto first = CutCoalescedBatch(queue, 2, KeyOf);
+  EXPECT_EQ(Ids(first), (std::vector<std::vector<int>>{{0, 3}, {1, 6}}));
+  EXPECT_EQ(Ids(queue), (std::vector<int>{2, 4, 5, 7, 8, 9}));
+  const auto second = CutCoalescedBatch(queue, 2, KeyOf);
+  EXPECT_EQ(Ids(second), (std::vector<std::vector<int>>{{2, 8}, {4}}));
+  EXPECT_EQ(Ids(queue), (std::vector<int>{5, 7, 9}));
+}
+
+TEST(QueryServiceCutTest, EqualHashesWithDifferentValuesNeverMerge) {
+  // Every element forced onto one hash: groups still split by value, and
+  // the bucket collision costs no slot a distinct content would fill.
+  std::deque<Item> queue = QueueOf({1, 2, 1, 3, 2});
+  for (Item& item : queue) item.hash = 42;
+  const auto cut = CutCoalescedBatch(queue, 2, KeyOf);
+  EXPECT_EQ(Ids(cut), (std::vector<std::vector<int>>{{0, 2}, {1, 4}}));
+  EXPECT_EQ(Ids(queue), (std::vector<int>{3}));
+  // -0.0 and +0.0 compare equal but differ by bits: never merged either.
+  std::deque<Item> zeros = QueueOf({0.0, -0.0});
+  zeros[1].hash = zeros[0].hash;
+  EXPECT_EQ(CutCoalescedBatch(zeros, 2, KeyOf).size(), 2u);
 }
 
 // --------------------------------------------------------------------------
@@ -303,7 +432,7 @@ TEST(QueryServiceTest, HitsBitwiseIdenticalToDirectBatch) {
     EXPECT_EQ(m.completed, queries.size()) << config.name;
     EXPECT_EQ(m.rejected, 0u) << config.name;
     EXPECT_GE(m.batches, 1u) << config.name;
-    EXPECT_EQ(m.completed, m.ok + m.failed + m.deadline_exceeded)
+    EXPECT_EQ(m.completed, m.ok + m.failed + m.deadline_exceeded + m.invalid)
         << config.name;
     if (!FaultsArmed()) {
       EXPECT_EQ(m.latency.count, queries.size()) << config.name;
@@ -401,15 +530,17 @@ TEST(QueryServiceTest, CacheHitIdenticalToMiss) {
 }
 
 TEST(QueryServiceTest, CoalescesDuplicatesWithinBatch) {
+  // 16 identical requests are one distinct content: the cut that ships
+  // them runs one scan and answers the other 15 from it.
   const ts::Dataset ds = SmallGun(12);
   KnnEngine engine;
   engine.Index(ds);
   const auto expected = DirectHits(engine, {ds[1]}, 3)[0];
 
   ServiceOptions options;
-  options.max_batch = 16;  // size trigger exactly at our submission count;
+  options.max_batch = 16;  // size trigger: 16 queued requests;
   options.max_delay = std::chrono::duration_cast<microseconds>(
-      std::chrono::seconds(10));  // deadline can't fire first
+      std::chrono::seconds(10));  // the age trigger can't fire first
   QueryService service(engine, options);
 
   std::vector<std::future<QueryService::Result>> futures;
@@ -462,6 +593,110 @@ TEST(QueryServiceTest, MixedKRequestsEachGetTheirOwnK) {
     if (const auto hits = GetHits(futures[i], "mixed k")) {
       ExpectSameHits(*hits, expected, "mixed k");
     }
+  }
+}
+
+TEST(QueryServiceTest, DuplicatesAcrossOldBatchBoundariesMatchDirectHits) {
+  // 120 requests over 40 distinct queries, queued behind a busy
+  // dispatcher. Request i asks for query (7 i) mod 40 at k = 1 + i mod 5,
+  // so every query's three requests sit in different 32-request slices of
+  // the queue. Each result must equal a direct scan at its own k.
+  constexpr std::size_t kDistinct = 40;
+  constexpr std::size_t kRequests = 120;
+  constexpr std::size_t kMaxK = 5;
+  const ts::Dataset ds = SmallGun(kDistinct + 8);
+  KnnEngine engine;
+  engine.Index(ds);
+  const std::vector<ts::TimeSeries> queries(ds.begin(),
+                                            ds.begin() + kDistinct);
+  std::vector<std::vector<std::vector<Hit>>> expected(kMaxK + 1);
+  for (std::size_t k = 1; k <= kMaxK; ++k) {
+    expected[k] = DirectHits(engine, queries, k);
+  }
+
+  ServiceOptions options;  // max_batch 32, the default
+  options.max_delay = microseconds(0);
+  options.num_workers = 1;
+  options.watchdog_interval = microseconds(0);  // not under test here
+  QueryService service(engine, options);
+  // Every worker execution sleeps 25ms, so the requests below queue up
+  // while the decoy's batch runs.
+  core::ScopedFault stall(kFaultSiteWorkerStall, 1.0, 0);
+
+  auto decoy = service.Submit(ds[kDistinct], 3);
+  ASSERT_TRUE(decoy.has_value());
+  while (service.metrics().batches == 0) {  // the decoy's cut
+    std::this_thread::sleep_for(microseconds(200));
+  }
+  std::vector<std::future<QueryService::Result>> futures;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    auto f = service.Submit(queries[(7 * i) % kDistinct], 1 + i % kMaxK);
+    ASSERT_TRUE(f.has_value()) << i;
+    futures.push_back(std::move(*f));
+  }
+  // No cut since the decoy's: all 120 were queued at once.
+  const bool backlogged = service.metrics().batches == 1;
+  RecordProperty("backlogged", backlogged ? 1 : 0);
+
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    if (const auto hits = GetHits(futures[i], "straddling duplicate")) {
+      ExpectSameHits(*hits, expected[1 + i % kMaxK][(7 * i) % kDistinct],
+                     "straddling duplicate");
+    }
+  }
+  GetHits(*decoy, "decoy");
+  service.Shutdown();
+  const ServiceMetrics m = service.metrics();
+  EXPECT_EQ(m.completed, kRequests + 1);
+  if (backlogged) {
+    // Cut 2: the first 32 distinct queries with all their duplicates;
+    // cut 3: the other 8 with theirs. One scan per distinct query.
+    EXPECT_EQ(m.batches, 3u);
+    EXPECT_EQ(m.coalesced, kRequests - kDistinct);
+  }
+}
+
+TEST(QueryServiceTest, InvalidQueriesFailFastWithInvalidArgument) {
+  const ts::Dataset ds = SmallGun(8);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<ts::TimeSeries> invalid{ts::TimeSeries(std::vector<double>{}, 0)};
+  for (const double bad : {nan, inf, -inf}) {
+    std::vector<double> values = ds[0].values();
+    values[values.size() / 2] = bad;
+    invalid.emplace_back(values, 0);
+  }
+
+  for (const DistanceKind distance :
+       {DistanceKind::kSdtw, DistanceKind::kFullDtw}) {
+    KnnOptions knn;
+    knn.distance = distance;
+    KnnEngine engine(knn);
+    engine.Index(ds);
+    QueryService service(engine);
+    for (const ts::TimeSeries& q : invalid) {
+      // The future is ready at once: nothing was queued or scanned.
+      auto f = service.Submit(q, 3);
+      ASSERT_TRUE(f.has_value());
+      ASSERT_EQ(f->wait_for(std::chrono::seconds(0)),
+                std::future_status::ready);
+      const QueryService::Result result = f->get();
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), core::StatusCode::kInvalidArgument)
+          << result.status().ToString();
+    }
+    EXPECT_EQ(service.Query(invalid[1], 0).status().code(),
+              core::StatusCode::kInvalidArgument)
+        << "k == 0 does not excuse an invalid query";
+
+    service.Shutdown();
+    const ServiceMetrics m = service.metrics();
+    EXPECT_EQ(m.invalid, invalid.size() + 1);
+    EXPECT_EQ(m.completed, m.ok + m.failed + m.deadline_exceeded + m.invalid);
+    EXPECT_EQ(m.completed, invalid.size() + 1);
+    EXPECT_EQ(m.submitted, 0u);
+    EXPECT_EQ(m.batches, 0u);
+    EXPECT_EQ(m.cache.misses, 0u);
   }
 }
 
