@@ -24,12 +24,14 @@
 //   --smoke                                         tiny CI scale
 //   --seed=S                                        generator seed
 //   --json=FILE  write a machine-readable perf baseline (queries/s, DP
-//                counts, prune rates, Keogh abandons, and banded-kernel
-//                cells/s) for CI artifact tracking across perf PRs
+//                counts, prune rates, Keogh abandons, banded-kernel
+//                cells/s, and Sdtw::BuildBand microseconds per pair) for
+//                CI artifact tracking across perf PRs
 //
 // scripts/bench_smoke.sh passes --json so CI uploads BENCH_retrieval.json
 // as the perf-trajectory artifact.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -37,6 +39,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "core/sdtw.h"
 #include "data/generators.h"
 #include "dtw/dtw.h"
 #include "retrieval/batch.h"
@@ -221,8 +224,55 @@ double KernelCellsPerSecond(std::size_t n, sdtw::dtw::CostKind cost) {
   return static_cast<double>(reps) * cells / elapsed;
 }
 
+// The fixed pair set of the BuildBand probe: the same inputs at every
+// bench scale, so runs at different scales stay comparable.
+constexpr std::size_t kBandBuildSeries = 16;
+constexpr std::size_t kBandBuildLength = 256;
+
+// Median over repetitions of Sdtw::BuildBand's cost per pair, in
+// microseconds: paper-default ac,aw options over every ordered pair of
+// kBandBuildSeries TraceLike series with pre-extracted features — the
+// per-candidate stage between the lower bounds and the DP. Like the
+// kernel probe: one warm-up pass, then passes for a fixed wall budget.
+double BandBuildMicrosPerPair() {
+  using namespace sdtw;
+  data::GeneratorOptions g;
+  g.num_series = kBandBuildSeries;
+  g.length = kBandBuildLength;
+  g.seed = 3;
+  const ts::Dataset series = data::MakeTraceLike(g);
+  const core::Sdtw engine;
+  std::vector<std::vector<sift::Keypoint>> features;
+  for (const ts::TimeSeries& s : series) {
+    features.push_back(engine.ExtractFeatures(s));
+  }
+  volatile std::size_t sink = 0;
+  auto pass = [&] {
+    for (std::size_t i = 0; i < series.size(); ++i) {
+      for (std::size_t j = 0; j < series.size(); ++j) {
+        if (i == j) continue;
+        sink = sink + engine.BuildBand(series[i], features[i], series[j],
+                                       features[j])
+                          .CellCount();
+      }
+    }
+  };
+  pass();
+  const double pairs =
+      static_cast<double>(series.size() * (series.size() - 1));
+  std::vector<double> us_per_pair;
+  const auto t0 = std::chrono::steady_clock::now();
+  do {
+    const auto t = std::chrono::steady_clock::now();
+    pass();
+    us_per_pair.push_back(1e6 * Seconds(t) / pairs);
+  } while (Seconds(t0) < 0.3 || us_per_pair.size() < 5);
+  std::sort(us_per_pair.begin(), us_per_pair.end());
+  return us_per_pair[us_per_pair.size() / 2];
+}
+
 void WriteJson(const char* path, const Scale& scale, bool smoke,
-               double kernel_abs, double kernel_sq,
+               double kernel_abs, double kernel_sq, double band_build_us,
                const ModeMetrics& dtw_metrics,
                const ModeMetrics& sdtw_metrics) {
   std::FILE* f = std::fopen(path, "w");
@@ -258,7 +308,8 @@ void WriteJson(const char* path, const Scale& scale, bool smoke,
   std::fprintf(f, "{\n");
   // v3: bench_service may append a "service" block (latency percentiles,
   // throughput, cache hit rate) after this bench writes the base file.
-  std::fprintf(f, "  \"schema\": \"sdtw-bench-retrieval-v4\",\n");
+  // v5: adds the "band_build" block.
+  std::fprintf(f, "  \"schema\": \"sdtw-bench-retrieval-v5\",\n");
   std::fprintf(f,
                "  \"scale\": {\"series\": %zu, \"queries\": %zu, \"length\": "
                "%zu, \"threads\": %zu, \"k\": %zu, \"smoke\": %s},\n",
@@ -276,6 +327,10 @@ void WriteJson(const char* path, const Scale& scale, bool smoke,
                sdtw::dtw::ActiveRowKernelOps().name,
                sdtw::dtw::DetectedCpuFeatures().c_str(), kernel_abs,
                kernel_sq);
+  std::fprintf(f,
+               "  \"band_build\": {\"series\": %zu, \"length\": %zu, "
+               "\"band_build_us_per_pair\": %.3f},\n",
+               kBandBuildSeries, kBandBuildLength, band_build_us);
   std::fprintf(f, "  \"modes\": {\n");
   mode("dtw", dtw_metrics, false);
   mode("sdtw", sdtw_metrics, true);
@@ -362,8 +417,11 @@ int main(int argc, char** argv) {
         "abs, %.1f M cells/s squared\n",
         kernel_n, dtw::ActiveRowKernelOps().name, kernel_abs / 1e6,
         kernel_sq / 1e6);
+    const double band_build_us = BandBuildMicrosPerPair();
+    std::printf("band build (%zu TraceLike x %zu, ac,aw): %.2f us/pair\n",
+                kBandBuildSeries, kBandBuildLength, band_build_us);
     WriteJson(json_path.c_str(), scale, config.smoke, kernel_abs, kernel_sq,
-              dtw_metrics, sdtw_metrics);
+              band_build_us, dtw_metrics, sdtw_metrics);
   }
 
   if (!ok) {

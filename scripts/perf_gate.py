@@ -3,11 +3,11 @@
 
 Compares the current run's perf baseline (written by
 `bench_batch_retrieval --json=...`) against the previous run's artifact
-and fails when the banded DP kernel slows down by more than the allowed
-ratio, or when any cascade order starts running MORE DP evaluations or
-pruning FEWER candidates with LB_Keogh (both counts are deterministic
-for a fixed scale and seed, so either move is a real pruning regression,
-not noise).
+and fails when the banded DP kernel or Sdtw::BuildBand slows down by
+more than the allowed ratio, or when any cascade order starts running
+MORE DP evaluations or pruning FEWER candidates with LB_Keogh (both
+counts are deterministic for a fixed scale and seed, so either move is a
+real pruning regression, not noise).
 
 Since schema v3 the baseline may carry a "service" block (written by
 `bench_service --json=...`); its p95 submit->complete latency is gated
@@ -20,6 +20,13 @@ Schema v4 adds a "faults" sub-block to the service block (shed/retry
 rates from `bench_service --faults`); it is informational — survival and
 hit identity are asserted by the bench itself, not gated here. A v3
 baseline against a v4 run skips via the schema check below.
+
+Schema v5 adds a "band_build" block: the median cost of Sdtw::BuildBand
+per pair (matching, pruning and band construction) on a fixed pair set.
+It fails like the kernel rows, when the current run is slower than the
+baseline by more than the allowed ratio (baseline / current <
+--min-ratio), and skips when either run lacks the block or the pair set
+changed.
 
 The gate only trusts like-for-like comparisons. It SKIPS (exit 0, with a
 message) instead of failing when the baseline is missing or was produced
@@ -109,7 +116,24 @@ def main(argv):
         if ratio < min_ratio:
             failures.append(f"{key} regressed: {line.strip()}")
 
-    # 2. Cascade work counters per mode and visit order.
+    # 2. Sdtw::BuildBand cost per pair: time, so the ratio is inverted.
+    bb, cb = baseline.get("band_build"), current.get("band_build")
+    key = "band_build_us_per_pair"
+    if not bb or not cb or not bb.get(key) or cb.get(key) is None:
+        print(f"  {key}: skipped (missing from baseline or current)")
+    elif ({k: v for k, v in bb.items() if k != key} !=
+          {k: v for k, v in cb.items() if k != key}):
+        print(f"  {key}: skipped (pair set changed)")
+    else:
+        old, new = bb[key], cb[key]
+        ratio = old / new if new > 0 else float("inf")
+        line = (f"  {key}: {old:.2f} -> {new:.2f} us "
+                f"(speed ratio {ratio:.3f}, floor {min_ratio:.2f})")
+        print(line)
+        if ratio < min_ratio:
+            failures.append(f"{key} regressed: {line.strip()}")
+
+    # 3. Cascade work counters per mode and visit order.
     for mode, mdata in sorted(current.get("modes", {}).items()):
         bmode = baseline.get("modes", {}).get(mode)
         if bmode is None:
@@ -136,7 +160,7 @@ def main(argv):
                     failures.append(
                         f"{mode}/{order} {key} {verb}: {old} -> {new}")
 
-    # 3. Service p95 latency: wall-clock, so gated with a generous ratio
+    # 4. Service p95 latency: wall-clock, so gated with a generous ratio
     # plus absolute slack rather than the exact rules above.
     bsvc, csvc = baseline.get("service"), current.get("service")
     if bsvc is None or csvc is None:

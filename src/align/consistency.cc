@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <limits>
 
 #include "ts/stats.h"
 
@@ -31,8 +31,9 @@ void ClampScope(const sift::Keypoint& kp, std::size_t len, double* start,
   *end = std::clamp(kp.position + kp.scope_radius(), 0.0, maxi);
 }
 
-// Ordered multiset of committed boundary time points for one series, with
-// the hypothetical-insertion rank queries the pruning loop needs.
+// Committed boundary time points of one series, with the
+// hypothetical-insertion rank queries the pruning loop needs. RankOf counts,
+// so the points need no order.
 class BoundaryList {
  public:
   // Rank the value would take if inserted: number of committed values
@@ -46,11 +47,11 @@ class BoundaryList {
     return r;
   }
 
-  void Insert(double v) { committed_.insert(v); }
+  void Insert(double v) { committed_.push_back(v); }
 
  private:
   static constexpr double kTieEps = 1e-9;
-  std::multiset<double> committed_;
+  std::vector<double> committed_;
 };
 
 }  // namespace
@@ -122,18 +123,24 @@ std::vector<AlignedPair> PruneInconsistent(
     c.mu_comb = denom > 0.0 ? 2.0 * ns_align * ns_sim / denom : 0.0;
   }
 
-  // Step 2: greedy commit in descending µ_comb order.
-  std::stable_sort(cands.begin(), cands.end(),
-                   [](const Candidate& a, const Candidate& b) {
-                     return a.mu_comb > b.mu_comb;
-                   });
+  // Step 2: greedy commit in descending µ_comb order. A stable insertion
+  // sort: there are only a handful of candidates, and equal µ_comb keep
+  // their matching order.
+  for (std::size_t i = 1; i < cands.size(); ++i) {
+    Candidate c = cands[i];
+    std::size_t k = i;
+    for (; k > 0 && c.mu_comb > cands[k - 1].mu_comb; --k) {
+      cands[k] = cands[k - 1];
+    }
+    cands[k] = c;
+  }
   BoundaryList order_x, order_y;
-  std::set<std::size_t> used_x, used_y;
+  std::vector<char> used_x(keypoints_x.size(), 0);
+  std::vector<char> used_y(keypoints_y.size(), 0);
   for (const Candidate& c : cands) {
-    if (options.unique_features) {
-      if (used_x.count(c.match.index_x) || used_y.count(c.match.index_y)) {
-        continue;
-      }
+    if (options.unique_features &&
+        (used_x[c.match.index_x] || used_y[c.match.index_y])) {
+      continue;
     }
     const sift::Keypoint& fx = keypoints_x[c.match.index_x];
     const sift::Keypoint& fy = keypoints_y[c.match.index_y];
@@ -161,8 +168,8 @@ std::vector<AlignedPair> PruneInconsistent(
       order_x.Insert(ap.end_x);
       order_y.Insert(ap.start_y);
       order_y.Insert(ap.end_y);
-      used_x.insert(ap.index_x);
-      used_y.insert(ap.index_y);
+      used_x[ap.index_x] = 1;
+      used_y[ap.index_y] = 1;
       result.push_back(std::move(ap));
     }
     // Else: drop the pair; its boundaries are not committed.

@@ -59,6 +59,18 @@ struct MatchingOptions {
 /// Finds dominant matching pairs from X's keypoints to Y's. O(|SX|·|SY|)
 /// (paper §3.4). Pairs are returned sorted by index_x. When len_x/len_y are
 /// non-zero, the tau_position displacement constraint is enforced.
+///
+/// Every candidate passing (a)+(b) gets its full squared descriptor
+/// distance, summed in descriptor order (several candidates side by side),
+/// and the best and second best are then picked by a strict `<` scan in
+/// index order. This gives the same pairs, bit for bit, as abandoning a
+/// sum once it exceeds the running second best: such a partial sum is a
+/// lower bound of the full one (the terms are non-negative, and rounding
+/// is monotone), so neither the abandoned nor the full sum can displace the
+/// best or the second best, and every sum that is not abandoned is the
+/// full one. A candidate whose distance is +inf (descriptor-length
+/// mismatch) or NaN never wins; a keypoint with only such candidates has
+/// no match.
 std::vector<MatchPair> FindDominantPairs(
     const std::vector<sift::Keypoint>& keypoints_x,
     const std::vector<sift::Keypoint>& keypoints_y,

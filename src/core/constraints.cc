@@ -69,7 +69,7 @@ std::vector<double> AdaptiveCore(
 namespace {
 
 // Index of the interval whose Y-range contains the column `col` (closest
-// when none contains it).
+// when none contains it; the first of equals either way).
 std::size_t IntervalContaining(
     const std::vector<align::IntervalPair>& intervals, double col) {
   std::size_t best = 0;
@@ -87,6 +87,46 @@ std::size_t IntervalContaining(
   return best;
 }
 
+// True when the Y-ranges tile a contiguous partition: begin <= end in every
+// interval and each interval begins where the previous one ends, as
+// align::BuildIntervals produces them.
+bool IsContiguousYPartition(
+    const std::vector<align::IntervalPair>& intervals) {
+  for (std::size_t k = 0; k < intervals.size(); ++k) {
+    if (intervals[k].begin_y > intervals[k].end_y) return false;
+    if (k > 0 && intervals[k].begin_y != intervals[k - 1].end_y) return false;
+  }
+  return true;
+}
+
+// IntervalContaining for a contiguous Y partition. The end columns are
+// non-decreasing and each interval begins at its predecessor's end, so the
+// first interval whose end reaches `col` is the first containing it (or,
+// before the first begin, the closest); the walk to it starts at `hint`, the
+// previous row's answer, and is O(1) for the monotone cores AdaptiveCore and
+// DiagonalCore produce. Past the last end the distance col - end is
+// non-increasing, and the scan keeps the first interval at the least one. A
+// non-finite column is at no finite distance from any interval, so the scan
+// keeps the first.
+std::size_t PartitionIntervalContaining(
+    const std::vector<align::IntervalPair>& intervals, double col,
+    std::size_t hint) {
+  if (!std::isfinite(col)) return 0;
+  const double last_end = static_cast<double>(intervals.back().end_y);
+  if (col > last_end) {
+    const auto it = std::partition_point(
+        intervals.begin(), intervals.end(),
+        [col, least = col - last_end](const align::IntervalPair& ip) {
+          return col - static_cast<double>(ip.end_y) > least;
+        });
+    return static_cast<std::size_t>(it - intervals.begin());
+  }
+  std::size_t k = hint;
+  while (static_cast<double>(intervals[k].end_y) < col) ++k;
+  while (k > 0 && static_cast<double>(intervals[k - 1].end_y) >= col) --k;
+  return k;
+}
+
 }  // namespace
 
 std::vector<double> AdaptiveWidths(
@@ -102,23 +142,32 @@ std::vector<double> AdaptiveWidths(
   const double max_w = max_fraction > 0.0
                            ? max_fraction * static_cast<double>(m)
                            : static_cast<double>(m);
-  for (std::size_t i = 0; i < n; ++i) {
-    double w;
-    if (intervals.empty()) {
-      w = static_cast<double>(m);
-    } else {
-      const std::size_t k = IntervalContaining(intervals, core[i]);
-      // Average widths over the r-neighbourhood of interval k (§3.3.1's
-      // second refinement; r = 1 gives the paper's ac2 variant).
-      const std::size_t lo = k >= radius ? k - radius : 0;
-      const std::size_t hi = std::min(intervals.size() - 1, k + radius);
-      double sum = 0.0;
-      for (std::size_t t = lo; t <= hi; ++t) {
-        sum += static_cast<double>(intervals[t].width_y());
-      }
-      w = sum / static_cast<double>(hi - lo + 1);
+  auto clamp_width = [&](double w) {
+    return std::clamp(w, std::max(min_w, 1.0), std::max(max_w, 1.0));
+  };
+  if (intervals.empty()) {
+    std::fill(widths.begin(), widths.end(),
+              clamp_width(static_cast<double>(m)));
+    return widths;
+  }
+  // Each interval's width, averaged over its r-neighbourhood (§3.3.1's
+  // second refinement; r = 1 gives the paper's ac2 variant) and clamped.
+  std::vector<double> interval_width(intervals.size());
+  for (std::size_t k = 0; k < intervals.size(); ++k) {
+    const std::size_t lo = k >= radius ? k - radius : 0;
+    const std::size_t hi = std::min(intervals.size() - 1, k + radius);
+    double sum = 0.0;
+    for (std::size_t t = lo; t <= hi; ++t) {
+      sum += static_cast<double>(intervals[t].width_y());
     }
-    widths[i] = std::clamp(w, std::max(min_w, 1.0), std::max(max_w, 1.0));
+    interval_width[k] = clamp_width(sum / static_cast<double>(hi - lo + 1));
+  }
+  const bool partition = IsContiguousYPartition(intervals);
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    k = partition ? PartitionIntervalContaining(intervals, core[i], k)
+                  : IntervalContaining(intervals, core[i]);
+    widths[i] = interval_width[k];
   }
   return widths;
 }
@@ -136,8 +185,11 @@ dtw::Band AssembleBand(std::size_t n, std::size_t m,
     const double half = std::ceil(widths[i] / 2.0);
     const double lo = std::clamp(core[i] - half, 0.0, last_col);
     const double hi = std::clamp(core[i] + half, 0.0, last_col);
-    rows[i].lo = static_cast<std::size_t>(std::floor(lo));
-    rows[i].hi = static_cast<std::size_t>(std::ceil(hi));
+    // lo and hi are clamped to [0, m-1]: truncation is floor, and ceil is
+    // truncation plus one when a fraction remains.
+    rows[i].lo = static_cast<std::size_t>(lo);
+    rows[i].hi = static_cast<std::size_t>(hi);
+    if (static_cast<double>(rows[i].hi) < hi) ++rows[i].hi;
   }
   dtw::Band band = dtw::Band::FromRows(std::move(rows), m);
   band.MakeFeasible();

@@ -43,8 +43,8 @@ enum class StatusCode {
   /// The request's deadline passed before it was served; it was shed
   /// without any DP evaluation.
   kDeadlineExceeded,
-  /// Admission refused: queue at capacity under kReject, or a kBlock
-  /// submitter's bounded park timed out.
+  /// Admission refused: queue at capacity under kReject, a kBlock
+  /// submitter's bounded park timed out, or an injected admission fault.
   kResourceExhausted,
   /// The service is shut down (or never became serviceable).
   kUnavailable,

@@ -41,6 +41,11 @@ core::Status ValidateQuery(const ts::TimeSeries& query) {
   return core::Status::Ok();
 }
 
+/// The refusal of a submit that finds the service shut down.
+core::Status ShutDownStatus() {
+  return core::Status(core::StatusCode::kUnavailable, "service is shut down");
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -161,7 +166,7 @@ core::Status QueryService::ValidateOptions(const ServiceOptions& options) {
   return core::Status::Ok();
 }
 
-std::optional<std::future<QueryService::Result>> QueryService::Submit(
+core::StatusOr<std::future<QueryService::Result>> QueryService::Admit(
     ts::TimeSeries query, std::size_t k, RequestOptions request) {
   // Argument errors come first and touch no queue state: the future is
   // ready, and the query is never queued, hashed or scanned.
@@ -175,13 +180,20 @@ std::optional<std::future<QueryService::Result>> QueryService::Submit(
     refused.set_value(std::move(invalid));
     return refused.get_future();
   }
+  // A service built from invalid options never admits; it says why.
+  if (!init_status_.ok()) {
+    core::MutexLock lock(mu_);
+    ++rejected_;
+    return init_status_;
+  }
   // Fault site: a drawn failure refuses this admission outright —
   // exercised before any queue state is touched, like a resource check
   // that fails ahead of enqueueing.
   if (core::FaultInjector::Global().ShouldFail(kFaultSiteAdmission)) {
     core::MutexLock lock(mu_);
     ++rejected_;
-    return std::nullopt;
+    return core::Status(core::StatusCode::kResourceExhausted,
+                        "admission refused by an injected fault");
   }
 
   Request req;
@@ -194,14 +206,15 @@ std::optional<std::future<QueryService::Result>> QueryService::Submit(
   std::future<Result> future = req.promise.get_future();
   {
     core::UniqueLock lock(mu_);
-    if (!init_status_.ok() || closed_) {
+    if (closed_) {
       ++rejected_;
-      return std::nullopt;
+      return ShutDownStatus();
     }
     if (options_.admission == AdmissionPolicy::kReject) {
       if (queue_.size() >= options_.queue_capacity) {
         ++rejected_;
-        return std::nullopt;
+        return core::Status(core::StatusCode::kResourceExhausted,
+                            "admission queue at capacity");
       }
     } else {
       // Bounded park: backpressure, but never forever — a stalled
@@ -213,12 +226,14 @@ std::optional<std::future<QueryService::Result>> QueryService::Submit(
             queue_.size() >= options_.queue_capacity && !closed_) {
           ++park_timeouts_;
           ++rejected_;
-          return std::nullopt;
+          return core::Status(core::StatusCode::kResourceExhausted,
+                              "admission queue still at capacity after "
+                              "park_timeout");
         }
       }
       if (closed_) {
         ++rejected_;
-        return std::nullopt;
+        return ShutDownStatus();
       }
     }
     req.seq = next_seq_++;
@@ -241,16 +256,20 @@ std::optional<std::future<QueryService::Result>> QueryService::Submit(
   return future;
 }
 
+std::optional<std::future<QueryService::Result>> QueryService::Submit(
+    ts::TimeSeries query, std::size_t k, RequestOptions request) {
+  core::StatusOr<std::future<Result>> admitted =
+      Admit(std::move(query), k, request);
+  if (!admitted.ok()) return std::nullopt;
+  return std::move(admitted).value();
+}
+
 QueryService::Result QueryService::Query(const ts::TimeSeries& query,
                                          std::size_t k,
                                          RequestOptions request) {
-  auto future = Submit(query, k, request);
-  if (!future.has_value()) {
-    if (!init_status_.ok()) return init_status_;
-    return core::Status(core::StatusCode::kUnavailable,
-                        "request was not admitted");
-  }
-  return future->get();
+  core::StatusOr<std::future<Result>> admitted = Admit(query, k, request);
+  if (!admitted.ok()) return admitted.status();
+  return admitted->get();
 }
 
 void QueryService::Shutdown() {

@@ -125,7 +125,7 @@ namespace retrieval {
 ///    still completes (the engine derives internally) and the cache is
 ///    guaranteed to never hold a context from a faulted fill;
 ///  * kFaultSiteAdmission refuses one admission (Submit returns nullopt,
-///    counted in ServiceMetrics::rejected).
+///    Query kResourceExhausted; counted in ServiceMetrics::rejected).
 inline constexpr std::string_view kFaultSiteWorker = "retrieval.worker";
 inline constexpr std::string_view kFaultSiteWorkerStall =
     "retrieval.worker_stall";
@@ -409,7 +409,11 @@ class QueryService {
                                             RequestOptions request = {})
       SDTW_EXCLUDES(mu_);
 
-  /// Submit-and-wait convenience; kUnavailable when not admitted.
+  /// Submit-and-wait convenience. A refused admission resolves with the
+  /// reason: kResourceExhausted for a full queue under kReject, a park
+  /// timeout under kBlock, or an injected admission fault; kUnavailable
+  /// once the service is shut down; init_status() when it was built from
+  /// invalid options.
   Result Query(const ts::TimeSeries& query, std::size_t k,
                RequestOptions request = {});
 
@@ -423,6 +427,13 @@ class QueryService {
   const ServiceOptions& options() const { return options_; }
 
  private:
+  /// Submit's admission step: the future, or why the request was
+  /// refused (Query returns that reason, Submit returns nullopt).
+  core::StatusOr<std::future<Result>> Admit(ts::TimeSeries query,
+                                            std::size_t k,
+                                            RequestOptions request)
+      SDTW_EXCLUDES(mu_);
+
   struct Request {
     ts::TimeSeries query;
     std::uint64_t hash = 0;  ///< ContentHash(query), computed by Submit.

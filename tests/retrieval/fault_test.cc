@@ -208,6 +208,23 @@ TEST_F(QueryServiceFaultTest, AdmissionFaultRejectsWithoutSideEffects) {
   EXPECT_EQ(m.completed, 1u);
 }
 
+TEST_F(QueryServiceFaultTest, AdmissionFaultQueryIsResourceExhausted) {
+  const ts::Dataset ds = SmallGun(10);
+  KnnEngine engine;
+  engine.Index(ds);
+  QueryService service(engine);
+
+  core::ScopedFault fault(kFaultSiteAdmission,
+                          core::FaultInjector::SiteConfig{1.0, 0, 1});
+  // The injected fault stands for a resource check failing ahead of
+  // enqueueing.
+  const auto refused = service.Query(ds[0], 3);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), core::StatusCode::kResourceExhausted)
+      << refused.status().ToString();
+  EXPECT_TRUE(service.Query(ds[0], 3).ok());
+}
+
 // --------------------------------------------------------------------------
 // Cache-fill faults
 
@@ -586,6 +603,32 @@ TEST_F(QueryServiceEdgeTest, ParkTimeoutBoundsBlockingSubmits) {
   EXPECT_EQ(m.park_timeouts, 1u);
   EXPECT_EQ(m.rejected, 1u);
   EXPECT_EQ(m.submitted, 1u);
+}
+
+TEST_F(QueryServiceEdgeTest, ParkTimeoutQueryIsResourceExhausted) {
+  const ts::Dataset ds = SmallGun(10);
+  KnnEngine engine;
+  engine.Index(ds);
+
+  ServiceOptions options;
+  options.queue_capacity = 1;
+  options.admission = AdmissionPolicy::kBlock;
+  options.park_timeout = milliseconds(20);
+  options.max_batch = 64;  // keeps the queue full, as above
+  options.max_delay =
+      std::chrono::duration_cast<microseconds>(std::chrono::seconds(30));
+  QueryService service(engine, options);
+
+  auto admitted = service.Submit(ds[0], 3);
+  ASSERT_TRUE(admitted.has_value());
+  const QueryService::Result parked = service.Query(ds[1], 3);
+  ASSERT_FALSE(parked.ok());
+  EXPECT_EQ(parked.status().code(), core::StatusCode::kResourceExhausted)
+      << parked.status().ToString();
+
+  service.Shutdown();
+  ASSERT_TRUE(admitted->get().ok());
+  EXPECT_EQ(service.metrics().park_timeouts, 1u);
 }
 
 // --------------------------------------------------------------------------

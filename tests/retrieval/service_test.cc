@@ -779,6 +779,39 @@ TEST(QueryServiceTest, RejectPolicyShedsLoadAtCapacity) {
   EXPECT_EQ(m.completed, 1u);
 }
 
+TEST(QueryServiceTest, RejectPolicyQueryReportsWhyItWasRefused) {
+  const ts::Dataset ds = SmallGun(10);
+  KnnEngine engine;
+  engine.Index(ds);
+
+  ServiceOptions options;
+  options.queue_capacity = 1;
+  options.admission = AdmissionPolicy::kReject;
+  options.max_batch = 64;  // the dispatcher holds the queued request, as
+  options.max_delay = std::chrono::duration_cast<microseconds>(
+      std::chrono::seconds(30));  // above
+  QueryService service(engine, options);
+
+  auto admitted = service.Submit(ds[0], 3);
+  ASSERT_TRUE(admitted.has_value());
+  // A full queue is a capacity refusal: retrying later can succeed.
+  const QueryService::Result full = service.Query(ds[1], 3);
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.status().code(), core::StatusCode::kResourceExhausted)
+      << full.status().ToString();
+
+  service.Shutdown();
+  ASSERT_TRUE(admitted->get().ok());
+  // A shut-down service never admits again.
+  const QueryService::Result closed = service.Query(ds[1], 3);
+  ASSERT_FALSE(closed.ok());
+  EXPECT_EQ(closed.status().code(), core::StatusCode::kUnavailable)
+      << closed.status().ToString();
+  const ServiceMetrics m = service.metrics();
+  EXPECT_EQ(m.submitted, 1u);
+  EXPECT_EQ(m.rejected, 2u);
+}
+
 TEST(QueryServiceTest, BlockPolicyAppliesBackpressureThenAdmits) {
   const ts::Dataset ds = SmallGun(10);
   KnnEngine engine;
