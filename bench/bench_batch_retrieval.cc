@@ -308,8 +308,9 @@ void WriteJson(const char* path, const Scale& scale, bool smoke,
   std::fprintf(f, "{\n");
   // v3: bench_service may append a "service" block (latency percentiles,
   // throughput, cache hit rate) after this bench writes the base file.
-  // v5: adds the "band_build" block.
-  std::fprintf(f, "  \"schema\": \"sdtw-bench-retrieval-v5\",\n");
+  // The "band_build" block came later without a bump: the gate skips
+  // that row alone when a baseline lacks it.
+  std::fprintf(f, "  \"schema\": \"sdtw-bench-retrieval-v4\",\n");
   std::fprintf(f,
                "  \"scale\": {\"series\": %zu, \"queries\": %zu, \"length\": "
                "%zu, \"threads\": %zu, \"k\": %zu, \"smoke\": %s},\n",

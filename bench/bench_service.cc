@@ -121,7 +121,7 @@ bool AmendJson(const char* path, const std::string& service_block) {
     content.pop_back();
   }
   if (content.empty() || content.back() != '}') return false;
-  if (content.find("\"schema\": \"sdtw-bench-retrieval-v5\"") ==
+  if (content.find("\"schema\": \"sdtw-bench-retrieval-v4\"") ==
           std::string::npos ||
       content.find("\"service\":") != std::string::npos) {
     return false;

@@ -21,12 +21,12 @@ rates from `bench_service --faults`); it is informational — survival and
 hit identity are asserted by the bench itself, not gated here. A v3
 baseline against a v4 run skips via the schema check below.
 
-Schema v5 adds a "band_build" block: the median cost of Sdtw::BuildBand
-per pair (matching, pruning and band construction) on a fixed pair set.
-It fails like the kernel rows, when the current run is slower than the
-baseline by more than the allowed ratio (baseline / current <
---min-ratio), and skips when either run lacks the block or the pair set
-changed.
+A v4 baseline may carry a "band_build" block: the median cost of
+Sdtw::BuildBand per pair (matching, pruning and band construction) on a
+fixed pair set. It fails like the kernel rows, when the current run is
+slower than the baseline by more than the allowed ratio (baseline /
+current < --min-ratio), and skips that row alone when either run lacks
+the block or the pair set changed.
 
 The gate only trusts like-for-like comparisons. It SKIPS (exit 0, with a
 message) instead of failing when the baseline is missing or was produced

@@ -87,46 +87,6 @@ std::size_t IntervalContaining(
   return best;
 }
 
-// True when the Y-ranges tile a contiguous partition: begin <= end in every
-// interval and each interval begins where the previous one ends, as
-// align::BuildIntervals produces them.
-bool IsContiguousYPartition(
-    const std::vector<align::IntervalPair>& intervals) {
-  for (std::size_t k = 0; k < intervals.size(); ++k) {
-    if (intervals[k].begin_y > intervals[k].end_y) return false;
-    if (k > 0 && intervals[k].begin_y != intervals[k - 1].end_y) return false;
-  }
-  return true;
-}
-
-// IntervalContaining for a contiguous Y partition. The end columns are
-// non-decreasing and each interval begins at its predecessor's end, so the
-// first interval whose end reaches `col` is the first containing it (or,
-// before the first begin, the closest); the walk to it starts at `hint`, the
-// previous row's answer, and is O(1) for the monotone cores AdaptiveCore and
-// DiagonalCore produce. Past the last end the distance col - end is
-// non-increasing, and the scan keeps the first interval at the least one. A
-// non-finite column is at no finite distance from any interval, so the scan
-// keeps the first.
-std::size_t PartitionIntervalContaining(
-    const std::vector<align::IntervalPair>& intervals, double col,
-    std::size_t hint) {
-  if (!std::isfinite(col)) return 0;
-  const double last_end = static_cast<double>(intervals.back().end_y);
-  if (col > last_end) {
-    const auto it = std::partition_point(
-        intervals.begin(), intervals.end(),
-        [col, least = col - last_end](const align::IntervalPair& ip) {
-          return col - static_cast<double>(ip.end_y) > least;
-        });
-    return static_cast<std::size_t>(it - intervals.begin());
-  }
-  std::size_t k = hint;
-  while (static_cast<double>(intervals[k].end_y) < col) ++k;
-  while (k > 0 && static_cast<double>(intervals[k - 1].end_y) >= col) --k;
-  return k;
-}
-
 }  // namespace
 
 std::vector<double> AdaptiveWidths(
@@ -162,12 +122,8 @@ std::vector<double> AdaptiveWidths(
     }
     interval_width[k] = clamp_width(sum / static_cast<double>(hi - lo + 1));
   }
-  const bool partition = IsContiguousYPartition(intervals);
-  std::size_t k = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    k = partition ? PartitionIntervalContaining(intervals, core[i], k)
-                  : IntervalContaining(intervals, core[i]);
-    widths[i] = interval_width[k];
+    widths[i] = interval_width[IntervalContaining(intervals, core[i])];
   }
   return widths;
 }

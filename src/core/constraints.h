@@ -81,12 +81,7 @@ std::vector<double> DiagonalCore(std::size_t n, std::size_t m);
 /// the width of the Y-interval containing the core point of i, averaged
 /// over ±radius neighbouring intervals, clamped to the min/max fractions.
 /// The first interval containing the core point counts (the closest one
-/// when none does). Each interval's width is computed once. When the
-/// Y-ranges form a contiguous partition (begin_y <= end_y, and each
-/// interval begins at its predecessor's end_y, as align::BuildIntervals
-/// produces them), the interval is found by walking the sorted end_y from
-/// the previous row's interval; any other list falls back to a linear scan
-/// with the same result.
+/// when none does). Each interval's width is computed once.
 std::vector<double> AdaptiveWidths(
     std::size_t n, std::size_t m,
     const std::vector<align::IntervalPair>& intervals,

@@ -23,7 +23,7 @@ REPO_ROOT = os.environ.get(
 GATE = os.path.join(REPO_ROOT, "scripts", "perf_gate.py")
 
 BASELINE = {
-    "schema": "sdtw-bench-retrieval-v5",
+    "schema": "sdtw-bench-retrieval-v4",
     "scale": {"series": 40, "queries": 8, "length": 48, "threads": 2,
               "k": 5, "smoke": True},
     "kernel": {"band_half_width": 16, "variant": "avx2",
@@ -88,8 +88,7 @@ class PerfGateTest(unittest.TestCase):
 
     def test_schema_change_skips(self):
         old = copy.deepcopy(BASELINE)
-        old["schema"] = "sdtw-bench-retrieval-v4"
-        del old["band_build"]
+        old["schema"] = "sdtw-bench-retrieval-v3"
         r = self.run_gate(old, self.current(40.0))
         self.assertEqual(r.returncode, 0, r.stdout)
         self.assertIn("SKIP (schema changed", r.stdout)
